@@ -325,10 +325,11 @@ void Network::deliver_flight(std::uint32_t slot) {
 
 void Network::schedule_delivery(Message&& message, sim::SimTime latency) {
   const std::uint32_t slot = flight_store(std::move(message));
-  // {this, slot} is 16 bytes and trivially copyable: std::function keeps
-  // it in its inline buffer, so scheduling a delivery never allocates.
-  sim_.schedule_after(
-      latency, [this, slot] { deliver_flight(slot); }, component_);
+  // {this, slot} rides inline in the event slot, so scheduling a delivery
+  // never allocates.
+  auto deliver = [this, slot] { deliver_flight(slot); };
+  static_assert(sim::Simulation::Callback::stores_inline<decltype(deliver)>());
+  sim_.schedule_after(latency, deliver, component_);
 }
 
 void Network::set_clock_skew(NodeId id, sim::SimTime skew) {

@@ -204,11 +204,11 @@ class Network {
 
   // --- In-flight message slab ----------------------------------------------
   // Messages scheduled for delivery park in a reusable slab; the event
-  // captured by the kernel is just {this, slot} — small and trivially
-  // copyable, so std::function stores it inline and the per-delivery
-  // closure allocation disappears. Slots are recycled LIFO on delivery
-  // (deterministic), and in steady state the slab stops growing, making
-  // fixed-size payload delivery allocation-free end to end.
+  // captured by the kernel is just {this, slot}, which the event slot
+  // stores inline, so the per-delivery closure allocation disappears.
+  // Slots are recycled LIFO on delivery (deterministic), and in steady
+  // state the slab stops growing, making fixed-size payload delivery
+  // allocation-free end to end.
   std::uint32_t flight_store(Message&& message);
   void deliver_flight(std::uint32_t slot);
   void schedule_delivery(Message&& message, sim::SimTime latency);

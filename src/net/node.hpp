@@ -15,7 +15,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -121,22 +121,22 @@ class Node {
   /// One-shot timer that dies with the node's current epoch. The timer
   /// captures the causal context active when it was armed (e.g. the
   /// delivery that started it) and re-activates it when it fires, so
-  /// timeout-driven reactions stay in the originating trace.
-  sim::EventId after(sim::SimTime delay, std::function<void()> fn) {
-    const std::uint64_t epoch = epoch_;
-    const obs::SpanContext ctx = net_.tracer().current();
+  /// timeout-driven reactions stay in the originating trace. `fn` is
+  /// captured directly into the event slot: no second type-erased wrapper.
+  template <typename F>
+  sim::EventId after(sim::SimTime delay, F&& fn) {
     return sim_.schedule_after(
         delay,
-        [this, epoch, ctx, fn = std::move(fn)] {
-          if (!alive_ || epoch_ != epoch) return;
-          if (ctx.valid()) {
-            obs::Tracer::Scope scope(net_.tracer(), ctx);
-            fn();
-          } else {
-            fn();
-          }
-        },
+        Timer<std::decay_t<F>>{this, epoch_, net_.tracer().current(),
+                               std::forward<F>(fn)},
         component_);
+  }
+
+  /// True when after(delay, F{}) keeps the whole timer inside the event
+  /// slot. Per-request timers static_assert it.
+  template <typename F>
+  static constexpr bool timer_stores_inline() {
+    return sim::Simulation::Callback::stores_inline<Timer<F>>();
   }
 
   /// Periodic timer that dies with the node's current epoch. Returns the
@@ -144,21 +144,18 @@ class Node {
   /// Deliberately does NOT capture causal context — periodic behaviour is
   /// ambient, not an effect of whatever happened to be in scope at arm
   /// time.
-  sim::EventId every(sim::SimTime period, std::function<void()> fn) {
-    const std::uint64_t epoch = epoch_;
-    auto holder = std::make_shared<sim::EventId>(sim::kInvalidEventId);
-    const sim::EventId id = sim_.schedule_every(
+  template <typename F>
+  sim::EventId every(sim::SimTime period, F&& fn) {
+    return sim_.schedule_every(
         period,
-        [this, epoch, holder, fn = std::move(fn)] {
+        [this, epoch = epoch_, fn = std::forward<F>(fn)]() mutable {
           if (!alive_ || epoch_ != epoch) {
-            sim_.cancel(*holder);
+            sim_.cancel(sim_.current_event());
             return;
           }
           fn();
         },
         component_);
-    *holder = id;
-    return id;
   }
 
   void cancel(sim::EventId id) { sim_.cancel(id); }
@@ -183,6 +180,26 @@ class Node {
   virtual void on_unhandled(const Message&) {}
 
  private:
+  // What after() schedules: the epoch guard and the causal context around
+  // the caller's callable, in one object.
+  template <typename F>
+  struct Timer {
+    Node* node;
+    std::uint64_t epoch;
+    obs::SpanContext ctx;
+    F fn;
+
+    void operator()() {
+      if (!node->alive_ || node->epoch_ != epoch) return;
+      if (ctx.valid()) {
+        obs::Tracer::Scope scope(node->net_.tracer(), ctx);
+        fn();
+      } else {
+        fn();
+      }
+    }
+  };
+
   void dispatch(const Message& m) {
     if (!alive_) return;
     const PayloadKind kind = m.kind();

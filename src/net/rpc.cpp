@@ -129,9 +129,23 @@ RpcEndpoint::RpcEndpoint(Node& node)
 
 void RpcEndpoint::set_dedup_capacity(std::size_t capacity) {
   dedup_capacity_ = std::max<std::size_t>(capacity, 1);
-  while (dedup_order_.size() > dedup_capacity_) {
-    dedup_.erase(dedup_order_.front());
-    dedup_order_.pop_front();
+  // Lay the ring out oldest-first, drop the oldest beyond the new bound,
+  // and re-index: remember() appends until the ring is full again.
+  std::rotate(dedup_.begin(),
+              dedup_.begin() + static_cast<std::ptrdiff_t>(dedup_oldest_),
+              dedup_.end());
+  dedup_oldest_ = 0;
+  if (dedup_.size() > dedup_capacity_) {
+    const auto drop =
+        static_cast<std::ptrdiff_t>(dedup_.size() - dedup_capacity_);
+    for (auto it = dedup_.begin(); it != dedup_.begin() + drop; ++it) {
+      dedup_index_.erase(it->key);
+    }
+    dedup_.erase(dedup_.begin(), dedup_.begin() + drop);
+  }
+  for (std::size_t i = 0; i < dedup_.size(); ++i) {
+    dedup_index_.insert_or_assign(dedup_[i].key,
+                                  static_cast<std::uint32_t>(i));
   }
 }
 
@@ -142,72 +156,132 @@ BreakerState RpcEndpoint::breaker_state(NodeId to) const {
 
 // --- Client path ------------------------------------------------------------
 
-void RpcEndpoint::begin_attempt(const CallPtr& call) {
-  if (call->options.use_breaker && !admit(call->to)) {
+void RpcEndpoint::start_call(NodeId to, const RpcOptions& options,
+                             PayloadKind kind, std::uint32_t size,
+                             NestedPayloadBox request, Completion complete) {
+  std::uint32_t slot;
+  if (!free_calls_.empty()) {
+    slot = free_calls_.back();
+    free_calls_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(calls_slab_.size());
+    calls_slab_.emplace_back();
+  }
+  CallSlot& call = calls_slab_[slot];
+  call.call_id = next_call_id_++;
+  call.attempt = 0;
+  call.to = to;
+  call.request_kind = kind;
+  call.request_size = size;
+  call.options = options;
+  call.started_at = node_.now();
+  call.deadline_at = options.deadline > sim::kSimTimeZero
+                         ? call.started_at + options.deadline
+                         : sim::kSimTimeZero;
+  call.last_backoff = sim::kSimTimeZero;
+  call.timeout_event = sim::kInvalidEventId;
+  call.request = std::move(request);
+  call.complete = std::move(complete);
+  ++calls_;
+  calls_total_.increment();
+  begin_attempt(slot);
+}
+
+void RpcEndpoint::begin_attempt(std::uint32_t slot) {
+  CallSlot& call = calls_slab_[slot];
+  if (call.options.use_breaker && !admit(call.to)) {
     breaker_rejected_total_.increment();
     ++failed_fast_;
-    fail_fast(call, RpcError::kCircuitOpen);
+    fail_fast(slot, RpcError::kCircuitOpen);
     return;
   }
-  sim::SimTime timeout = call->options.timeout;
-  if (call->deadline_at > sim::kSimTimeZero) {
-    const sim::SimTime remaining = call->deadline_at - node_.now();
+  sim::SimTime timeout = call.options.timeout;
+  if (call.deadline_at > sim::kSimTimeZero) {
+    const sim::SimTime remaining = call.deadline_at - node_.now();
     if (remaining <= sim::kSimTimeZero) {
-      fail_fast(call, RpcError::kExpired);
+      fail_fast(slot, RpcError::kExpired);
       return;
     }
     timeout = std::min(timeout, remaining);
   }
-  ++call->attempt;
+  ++call.attempt;
   attempts_total_.increment();
-  if (call->attempt > 1) {
+  if (call.attempt > 1) {
     ++retries_;
     retries_total_.increment();
   }
-  pending_[call->call_id] = call;
-  call->timeout_event =
-      node_.after(timeout, [this, call] { on_attempt_timeout(call); });
-  call->send();
+  pending_.insert_or_assign(call.call_id, slot);
+  auto on_timeout = [this, slot, gen = call.generation] {
+    if (calls_slab_[slot].generation == gen) on_attempt_timeout(slot);
+  };
+  static_assert(Node::timer_stores_inline<decltype(on_timeout)>());
+  call.timeout_event = node_.after(timeout, on_timeout);
+  send_attempt(call);
 }
 
-void RpcEndpoint::on_attempt_timeout(const CallPtr& call) {
-  const auto it = pending_.find(call->call_id);
-  if (it == pending_.end() || it->second != call) return;  // completed
-  pending_.erase(it);
+void RpcEndpoint::send_attempt(const CallSlot& call) {
+  detail::RpcRequestEnvelope env;
+  env.call_id = call.call_id;
+  env.attempt = call.attempt;
+  env.deadline = call.deadline_at;
+  env.body_kind = call.request_kind;
+  env.body_size = call.request_size;
+  env.body = call.request;  // copy: retries re-send
+  node_.send(call.to, std::move(env));
+}
+
+void RpcEndpoint::on_attempt_timeout(std::uint32_t slot) {
+  CallSlot& call = calls_slab_[slot];
+  if (!pending_.erase(call.call_id)) return;  // completed
   ++timeouts_;
   timeouts_total_.increment();
-  if (call->options.use_breaker) record_outcome(call->to, /*failure=*/true);
-  if (call->attempt < static_cast<std::uint32_t>(
-                          std::max(call->options.max_attempts, 1))) {
-    const sim::SimTime backoff = next_backoff(*call);
+  if (call.options.use_breaker) record_outcome(call.to, /*failure=*/true);
+  if (call.attempt < static_cast<std::uint32_t>(
+                         std::max(call.options.max_attempts, 1))) {
+    const sim::SimTime backoff = next_backoff(call);
     // Only retry when the attempt can still start inside the budget.
-    if (call->deadline_at == sim::kSimTimeZero ||
-        node_.now() + backoff < call->deadline_at) {
-      node_.after(backoff, [this, call] { begin_attempt(call); });
+    if (call.deadline_at == sim::kSimTimeZero ||
+        node_.now() + backoff < call.deadline_at) {
+      auto retry = [this, slot, gen = call.generation] {
+        if (calls_slab_[slot].generation == gen) begin_attempt(slot);
+      };
+      static_assert(Node::timer_stores_inline<decltype(retry)>());
+      node_.after(backoff, retry);
       return;
     }
   }
-  finish(call, RpcError::kTimeout, nullptr);
+  finish(slot, RpcError::kTimeout, nullptr);
 }
 
-void RpcEndpoint::fail_fast(const CallPtr& call, RpcError error) {
+void RpcEndpoint::fail_fast(std::uint32_t slot, RpcError error) {
   // Deferred one event so completions are always asynchronous — callers
   // never observe `done` running inside call_result().
-  node_.after(sim::kSimTimeZero,
-              [this, call, error] { finish(call, error, nullptr); });
+  auto complete = [this, slot, gen = calls_slab_[slot].generation, error] {
+    if (calls_slab_[slot].generation == gen) finish(slot, error, nullptr);
+  };
+  static_assert(Node::timer_stores_inline<decltype(complete)>());
+  node_.after(sim::kSimTimeZero, complete);
 }
 
-void RpcEndpoint::finish(const CallPtr& call, RpcError error,
+void RpcEndpoint::finish(std::uint32_t slot, RpcError error,
                          NestedPayloadBox* body, bool tainted) {
+  CallSlot& call = calls_slab_[slot];
   completed_by_result_[static_cast<std::size_t>(error)]->increment();
   if (error == RpcError::kNone) {
     ++completed_;
-    call_latency_us_.record_time(node_.now() - call->started_at);
+    call_latency_us_.record_time(node_.now() - call.started_at);
   }
-  call->complete(error, body, static_cast<int>(call->attempt), tainted);
+  // Release the slot before running the completion: `done` may issue new
+  // calls, which may reuse this slot or grow the slab under it.
+  Completion complete = std::move(call.complete);
+  const int attempts = static_cast<int>(call.attempt);
+  call.request.reset();
+  if (++call.generation == 0) call.generation = 1;
+  free_calls_.push_back(slot);
+  complete(error, body, attempts, tainted);
 }
 
-sim::SimTime RpcEndpoint::next_backoff(CallState& call) {
+sim::SimTime RpcEndpoint::next_backoff(CallSlot& call) {
   const double base = sim::to_micros(call.options.backoff_base);
   const double cap = sim::to_micros(call.options.backoff_cap);
   const double prev = call.last_backoff > sim::kSimTimeZero
@@ -248,26 +322,19 @@ void RpcEndpoint::record_outcome(NodeId to, bool failure) {
         b.open_until = node_.now() + breaker_config_.open_timeout;
         transition(b, to, BreakerState::kOpen);
       } else {
-        b.window.clear();
-        b.failures = 0;
+        b.clear();
         transition(b, to, BreakerState::kClosed);
       }
       break;
     case BreakerState::kClosed: {
-      b.window.push_back(failure);
-      if (failure) ++b.failures;
-      if (b.window.size() > breaker_config_.window) {
-        if (b.window.front()) --b.failures;
-        b.window.pop_front();
-      }
-      const double rate = b.window.empty()
+      b.record(failure, breaker_config_.window);
+      const double rate = b.count == 0
                               ? 0.0
                               : static_cast<double>(b.failures) /
-                                    static_cast<double>(b.window.size());
-      if (b.window.size() >= breaker_config_.min_samples &&
+                                    static_cast<double>(b.count);
+      if (b.count >= breaker_config_.min_samples &&
           rate >= breaker_config_.failure_threshold) {
-        b.window.clear();
-        b.failures = 0;
+        b.clear();
         b.open_until = node_.now() + breaker_config_.open_timeout;
         transition(b, to, BreakerState::kOpen);
       }
@@ -278,6 +345,33 @@ void RpcEndpoint::record_outcome(NodeId to, bool failure) {
       // window already accounts for the peer being unhealthy.
       break;
   }
+}
+
+void RpcEndpoint::Breaker::record(bool failure, std::size_t capacity) {
+  if (window.size() != capacity) {
+    // First outcome for this destination, or set_breaker changed the
+    // window: keep the newest outcomes that still fit, oldest first.
+    std::vector<std::uint8_t> resized(capacity);
+    const std::size_t keep = std::min(count, capacity);
+    failures = 0;
+    for (std::size_t i = 0; i < keep; ++i) {
+      resized[i] = window[(oldest + count - keep + i) % window.size()];
+      failures += resized[i];
+    }
+    window = std::move(resized);
+    oldest = 0;
+    count = keep;
+  }
+  if (capacity == 0) return;
+  if (count == capacity) {
+    failures -= window[oldest];
+    window[oldest] = failure ? 1 : 0;
+    oldest = (oldest + 1) % capacity;
+  } else {
+    window[(oldest + count) % capacity] = failure ? 1 : 0;
+    ++count;
+  }
+  if (failure) ++failures;
 }
 
 void RpcEndpoint::transition(Breaker& breaker, NodeId to,
@@ -314,18 +408,19 @@ void RpcEndpoint::handle_request(NodeId from,
     return;
   }
   const detail::DedupKey key{from.value, env.call_id};
-  if (const auto it = dedup_.find(key); it != dedup_.end()) {
+  if (const std::uint32_t* pos = dedup_index_.find(key)) {
+    const DedupEntry& cached = dedup_[*pos];
     ++dedup_hits_;
     dedup_hits_total_.increment();
     respond(from, env.call_id, env.attempt, detail::RpcWireStatus::kOk,
-            it->second.body, it->second.size);
+            cached.body, cached.size);
     return;
   }
-  if (const auto it = in_progress_.find(key); it != in_progress_.end()) {
+  if (std::uint32_t* latest = in_progress_.find(key)) {
     // An async handler is already executing this call; remember the newest
     // attempt so the eventual response is not discarded as stale, and drop
     // the duplicate instead of re-executing.
-    it->second = std::max(it->second, env.attempt);
+    *latest = std::max(*latest, env.attempt);
     ++inflight_suppressed_;
     inflight_suppressed_total_.increment();
     return;
@@ -348,10 +443,10 @@ void RpcEndpoint::handle_request(NodeId from,
 
 void RpcEndpoint::complete_async(const detail::DedupKey& key,
                                  NestedPayloadBox body, std::uint32_t size) {
-  const auto it = in_progress_.find(key);
-  if (it == in_progress_.end()) return;  // already responded
-  const std::uint32_t attempt = it->second;
-  in_progress_.erase(it);
+  const std::uint32_t* latest = in_progress_.find(key);
+  if (latest == nullptr) return;  // already responded
+  const std::uint32_t attempt = *latest;
+  in_progress_.erase(key);
   remember(key, body, size);
   respond(NodeId{key.caller}, key.call_id, attempt,
           detail::RpcWireStatus::kOk, std::move(body), size);
@@ -359,39 +454,41 @@ void RpcEndpoint::complete_async(const detail::DedupKey& key,
 
 void RpcEndpoint::handle_response(const Message& msg,
                                   const detail::RpcResponseEnvelope& env) {
-  const auto it = pending_.find(env.call_id);
-  if (it == pending_.end() || it->second->attempt != env.attempt) {
+  const std::uint32_t* found = pending_.find(env.call_id);
+  if (found == nullptr || calls_slab_[*found].attempt != env.attempt) {
     // Late reply after the call completed, or a reply to a superseded
     // attempt racing the retry — never match it to the newer attempt.
     ++stale_responses_;
     stale_total_.increment();
     return;
   }
-  const CallPtr call = it->second;
-  pending_.erase(it);
-  node_.cancel(call->timeout_event);
+  const std::uint32_t slot = *found;
+  pending_.erase(env.call_id);
+  const CallSlot& call = calls_slab_[slot];
+  node_.cancel(call.timeout_event);
+  const bool use_breaker = call.options.use_breaker;
   switch (env.status) {
     case detail::RpcWireStatus::kOk: {
       // A tainted response is still a *response*: the channel worked, so
       // the breaker records success; the taint rides RpcResult for the
       // verification layer (trust scoring) to judge.
-      if (call->options.use_breaker) record_outcome(call->to, false);
+      if (use_breaker) record_outcome(call.to, false);
       NestedPayloadBox body = env.body;
-      finish(call, RpcError::kNone, &body, msg.tainted);
+      finish(slot, RpcError::kNone, &body, msg.tainted);
       break;
     }
     case detail::RpcWireStatus::kNoHandler:
       // The peer is alive and responsive — a healthy channel as far as the
       // breaker is concerned; the caller is simply talking to the wrong
       // endpoint. Fail without retrying.
-      if (call->options.use_breaker) record_outcome(call->to, false);
-      finish(call, RpcError::kNoHandler, nullptr);
+      if (use_breaker) record_outcome(call.to, false);
+      finish(slot, RpcError::kNoHandler, nullptr);
       break;
     case detail::RpcWireStatus::kExpired:
       // Too slow end-to-end: evidence of an unhealthy path, and no point
       // retrying a spent budget.
-      if (call->options.use_breaker) record_outcome(call->to, true);
-      finish(call, RpcError::kExpired, nullptr);
+      if (use_breaker) record_outcome(call.to, true);
+      finish(slot, RpcError::kExpired, nullptr);
       break;
   }
 }
@@ -407,12 +504,20 @@ void RpcEndpoint::respond(NodeId to, std::uint64_t call_id,
 void RpcEndpoint::remember(const detail::DedupKey& key,
                            const NestedPayloadBox& body,
                            std::uint32_t size) {
-  if (dedup_.size() >= dedup_capacity_ && !dedup_order_.empty()) {
-    dedup_.erase(dedup_order_.front());
-    dedup_order_.pop_front();
+  if (dedup_.size() < dedup_capacity_) {  // still growing: oldest is [0]
+    dedup_index_.insert_or_assign(key,
+                                  static_cast<std::uint32_t>(dedup_.size()));
+    dedup_.push_back(DedupEntry{key, size, body});
+    return;
   }
-  dedup_.emplace(key, DedupEntry{body, size});
-  dedup_order_.push_back(key);
+  DedupEntry& evicted = dedup_[dedup_oldest_];
+  dedup_index_.erase(evicted.key);
+  evicted.key = key;
+  evicted.size = size;
+  evicted.body = body;
+  dedup_index_.insert_or_assign(key,
+                                static_cast<std::uint32_t>(dedup_oldest_));
+  dedup_oldest_ = (dedup_oldest_ + 1) % dedup_.size();
 }
 
 }  // namespace riot::net

@@ -25,16 +25,17 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "net/node.hpp"
+#include "sim/flat_map.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/rng.hpp"
 
 namespace riot::net {
@@ -204,63 +205,48 @@ class RpcEndpoint {
     servers_[kind] = [this, handler = std::move(handler)](
                          NodeId from, const detail::RpcRequestEnvelope& env) {
       const detail::DedupKey key{from.value, env.call_id};
-      in_progress_.emplace(key, env.attempt);
+      in_progress_.insert_or_assign(key, env.attempt);
       handler(from, env.body.as_unchecked<Req>(), env.deadline,
               RpcResponder<Resp>(this, key));
     };
   }
 
-  /// Issue a call with full outcome reporting.
-  template <typename Req, typename Resp>
-  void call_result(NodeId to, Req request, RpcOptions options,
-                   std::function<void(RpcResult<Resp>)> done) {
-    auto call = std::make_shared<CallState>();
-    call->call_id = next_call_id_++;
-    call->to = to;
-    call->options = options;
-    call->started_at = node_.now();
-    if (options.deadline > sim::kSimTimeZero) {
-      call->deadline_at = call->started_at + options.deadline;
-    }
-    call->complete = [done = std::move(done)](RpcError error,
-                                              NestedPayloadBox* body,
-                                              int attempts, bool tainted) {
-      RpcResult<Resp> r;
-      r.error = error;
-      r.attempts = attempts;
-      r.tainted = tainted;
-      if (body != nullptr) r.value = body->take<Resp>();
-      done(std::move(r));
-    };
+  /// What a call slot keeps of the caller's completion. Captures up to
+  /// kInlineCallableBytes ride inline in the slot; callers on the serving
+  /// path static_assert that theirs do.
+  using Completion =
+      sim::InlineFunction<void(RpcError, NestedPayloadBox*, int, bool)>;
+
+  /// Issue a call with full outcome reporting. `done` is invoked once with
+  /// an RpcResult<Resp>, always from a later event, and after the call's
+  /// slot is released, so it may issue new calls.
+  template <typename Req, typename Resp, typename Done>
+  void call_result(NodeId to, Req request, RpcOptions options, Done&& done) {
     static_assert(std::copy_constructible<Req>,
                   "RPC requests must be copyable: retries re-send them");
-    // weak_ptr: the closure lives inside CallState, a shared_ptr to the
-    // owner would leak the state on abandoned calls.
-    call->send = [this, weak = std::weak_ptr<CallState>(call),
-                  request = std::move(request)] {
-      auto c = weak.lock();
-      if (!c) return;
-      detail::RpcRequestEnvelope env;
-      env.call_id = c->call_id;
-      env.attempt = c->attempt;
-      env.deadline = c->deadline_at;
-      env.body_kind = payload_kind_of<Req>();
-      env.body_size = wire_size_of(request);
-      env.body = NestedPayloadBox(request);  // copy: retries re-send
-      node_.send(c->to, std::move(env));
-    };
-    ++calls_;
-    calls_total_.increment();
-    begin_attempt(call);
+    static_assert(std::is_invocable_v<std::decay_t<Done>&, RpcResult<Resp>>,
+                  "done must accept an RpcResult<Resp>");
+    const std::uint32_t size = wire_size_of(request);
+    start_call(to, options, payload_kind_of<Req>(), size,
+               NestedPayloadBox{std::move(request)},
+               [done = std::forward<Done>(done)](
+                   RpcError error, NestedPayloadBox* body, int attempts,
+                   bool tainted) mutable {
+                 RpcResult<Resp> r;
+                 r.error = error;
+                 r.attempts = attempts;
+                 r.tainted = tainted;
+                 if (body != nullptr) r.value = body->take<Resp>();
+                 done(std::move(r));
+               });
   }
 
   /// Compatibility surface: `done` receives nullopt on any failure.
-  template <typename Req, typename Resp>
-  void call(NodeId to, Req request, RpcOptions options,
-            std::function<void(std::optional<Resp>)> done) {
+  template <typename Req, typename Resp, typename Done>
+  void call(NodeId to, Req request, RpcOptions options, Done&& done) {
     call_result<Req, Resp>(
         to, std::move(request), options,
-        [done = std::move(done)](RpcResult<Resp> r) {
+        [done = std::forward<Done>(done)](RpcResult<Resp> r) mutable {
           done(std::move(r.value));
         });
   }
@@ -306,46 +292,73 @@ class RpcEndpoint {
   [[nodiscard]] std::size_t in_progress_count() const {
     return in_progress_.size();
   }
-  [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
+  /// Calls issued and not yet completed: an attempt in flight or a retry
+  /// waiting out its backoff. A call orphaned by its caller's crash stays
+  /// counted.
+  [[nodiscard]] std::size_t pending_count() const {
+    return calls_slab_.size() - free_calls_.size();
+  }
 
  private:
-  struct CallState {
+  // One issued call, from call_result to completion. Slots live in a slab
+  // and are recycled LIFO; `generation` is bumped on release, so timers
+  // (which capture {slot, generation}) can never act on a recycled slot.
+  struct CallSlot {
     std::uint64_t call_id = 0;
+    std::uint32_t generation = 1;
+    std::uint32_t attempt = 0;  // current (1-based)
     NodeId to;
+    PayloadKind request_kind = kInvalidPayloadKind;
+    std::uint32_t request_size = 0;
     RpcOptions options;
     sim::SimTime started_at = sim::kSimTimeZero;
     sim::SimTime deadline_at = sim::kSimTimeZero;  // zero = unbounded
-    std::uint32_t attempt = 0;                     // current (1-based)
     sim::SimTime last_backoff = sim::kSimTimeZero;
     sim::EventId timeout_event = sim::kInvalidEventId;
-    std::function<void(RpcError, NestedPayloadBox*, int, bool)> complete;
-    std::function<void()> send;  // (re)send with the current attempt tag
+    NestedPayloadBox request;  // copied into every attempt's envelope
+    Completion complete;
   };
-  using CallPtr = std::shared_ptr<CallState>;
 
+  // Outcomes of the last BreakerConfig::window attempts, as a ring sized
+  // once per destination (re-sized only if set_breaker changes the window).
   struct Breaker {
     BreakerState state = BreakerState::kClosed;
-    std::deque<bool> window;  // true = failure
+    std::vector<std::uint8_t> window;  // 1 = failure
+    std::size_t oldest = 0;
+    std::size_t count = 0;
     std::size_t failures = 0;
     sim::SimTime open_until = sim::kSimTimeZero;
     bool probe_in_flight = false;
+
+    void record(bool failure, std::size_t capacity);
+    void clear() {
+      oldest = 0;
+      count = 0;
+      failures = 0;
+    }
   };
 
   template <typename Resp>
   friend class RpcResponder;
 
+  // One cached response; dedup_ is a FIFO ring of these.
   struct DedupEntry {
-    NestedPayloadBox body;
+    detail::DedupKey key{0, 0};
     std::uint32_t size = 0;
+    NestedPayloadBox body;
   };
 
   // Client path.
-  void begin_attempt(const CallPtr& call);
-  void on_attempt_timeout(const CallPtr& call);
-  void fail_fast(const CallPtr& call, RpcError error);
-  void finish(const CallPtr& call, RpcError error, NestedPayloadBox* body,
+  void start_call(NodeId to, const RpcOptions& options, PayloadKind kind,
+                  std::uint32_t size, NestedPayloadBox request,
+                  Completion complete);
+  void begin_attempt(std::uint32_t slot);
+  void send_attempt(const CallSlot& call);
+  void on_attempt_timeout(std::uint32_t slot);
+  void fail_fast(std::uint32_t slot, RpcError error);
+  void finish(std::uint32_t slot, RpcError error, NestedPayloadBox* body,
               bool tainted = false);
-  [[nodiscard]] sim::SimTime next_backoff(CallState& call);
+  [[nodiscard]] sim::SimTime next_backoff(CallSlot& call);
 
   // Breaker.
   bool admit(NodeId to);
@@ -386,13 +399,19 @@ class RpcEndpoint {
   std::uint64_t handler_executions_ = 0;
   std::uint64_t inflight_suppressed_ = 0;
 
-  std::unordered_map<std::uint64_t, CallPtr> pending_;  // by call_id
+  std::vector<CallSlot> calls_slab_;
+  std::vector<std::uint32_t> free_calls_;  // recycled slots, LIFO
+  // call_id -> slot, while an attempt is outstanding (not during backoff).
+  sim::FlatMap<std::uint64_t, std::uint32_t> pending_;
   std::unordered_map<std::uint32_t, Breaker> breakers_;  // by NodeId value
-  std::unordered_map<detail::DedupKey, DedupEntry, detail::DedupKeyHash>
-      dedup_;
-  std::deque<detail::DedupKey> dedup_order_;  // FIFO eviction order
+  // Response cache: a FIFO ring that grows to dedup_capacity_ entries, then
+  // overwrites its oldest (dedup_oldest_); the index maps key -> position.
+  std::vector<DedupEntry> dedup_;
+  std::size_t dedup_oldest_ = 0;
+  sim::FlatMap<detail::DedupKey, std::uint32_t, detail::DedupKeyHash>
+      dedup_index_;
   // Async executions in flight: (caller, call_id) -> latest attempt seen.
-  std::unordered_map<detail::DedupKey, std::uint32_t, detail::DedupKeyHash>
+  sim::FlatMap<detail::DedupKey, std::uint32_t, detail::DedupKeyHash>
       in_progress_;
   // Flat server-dispatch table, indexed by the request body's PayloadKind.
   // Entries run after the shed / dedup / in-progress checks and own the

@@ -28,7 +28,7 @@ ShardedNetwork::ShardedNetwork(sim::ShardedSimulation& kernel)
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     ShardState& ss = shards_[i];
     ss.component = kernel.shard(i).component_id("net");
-    ss.outbox.resize(shards_.size());
+    ss.outbox.resize(2 * shards_.size());
   }
 }
 
@@ -48,9 +48,9 @@ NodeId ShardedNetwork::register_endpoint(std::size_t shard,
   const auto id = static_cast<std::uint32_t>(endpoints_.size());
   EndpointState ep;
   ep.handler = std::move(handler);
-  ep.shard = static_cast<std::uint32_t>(shard);
   ep.rng = endpoint_rng(kernel_.seed(), id);
   endpoints_.push_back(std::move(ep));
+  routes_.push_back(EndpointRoute{static_cast<std::uint32_t>(shard), 0});
   return NodeId{id};
 }
 
@@ -64,7 +64,7 @@ void ShardedNetwork::set_endpoint_class(NodeId id, LinkClass cls) {
     throw std::invalid_argument(
         "ShardedNetwork::set_endpoint_class: class too big");
   }
-  endpoints_.at(id.value).link_class = cls;
+  routes_.at(id.value).link_class = cls;
 }
 
 void ShardedNetwork::set_class_link(LinkClass from, LinkClass to,
@@ -90,7 +90,9 @@ void ShardedNetwork::seal() {
   // the default quality, so the default participates whenever any such
   // pair exists.
   std::array<bool, kMaxLinkClasses> class_used{};
-  for (const EndpointState& ep : endpoints_) class_used[ep.link_class] = true;
+  for (const EndpointRoute& route : routes_) {
+    class_used[route.link_class] = true;
+  }
   sim::SimTime min_latency = kernel_.shard_count() > 1 ? sim::kSimTimeMax
                                                        : sim::kSimTimeZero;
   if (kernel_.shard_count() > 1) {
@@ -108,7 +110,9 @@ void ShardedNetwork::seal() {
   }
   lookahead_ = min_latency;
   kernel_.set_lookahead(lookahead_);
-  kernel_.set_exchange([this](std::size_t dst) { merge_inbound(dst); });
+  kernel_.set_exchange([this](std::size_t dst, std::size_t side) {
+    merge_inbound(dst, side);
+  });
   sealed_ = true;
 }
 
@@ -119,7 +123,9 @@ std::uint64_t ShardedNetwork::submit(Message message) {
   }
   EndpointState& src = endpoints_[message.from.value];
   if (!src.up) return 0;  // dead senders say nothing
-  ShardState& ss = shards_[src.shard];
+  const EndpointRoute& from = routes_[message.from.value];
+  const EndpointRoute& to = routes_[message.to.value];
+  ShardState& ss = shards_[from.shard];
   // (sender << 32 | sender seq): unique, and invariant across shard counts
   // — the canonical cross-shard ordering key.
   message.id = (static_cast<std::uint64_t>(message.from.value) << 32) |
@@ -127,8 +133,7 @@ std::uint64_t ShardedNetwork::submit(Message message) {
   ++ss.sent;
   ss.bytes += message.wire_size;
 
-  const EndpointState& dst = endpoints_[message.to.value];
-  const ShardLinkQuality q = link_quality(src, dst);
+  const ShardLinkQuality q = link_quality(from, to);
   const double loss = q.loss + ambient_loss_;
   if (loss > 0.0 && src.rng.chance(loss)) {
     ++ss.dropped;
@@ -140,10 +145,8 @@ std::uint64_t ShardedNetwork::submit(Message message) {
         src.rng.uniform01() * static_cast<double>(q.jitter.count())));
   }
   const std::uint64_t id = message.id;
-  const sim::SimTime at = kernel_.shard(src.shard).now() + latency;
-  if (dst.shard == src.shard) {
-    schedule_delivery(src.shard, at, std::move(message));
-  } else {
+  const sim::SimTime at = kernel_.shard(from.shard).now() + latency;
+  if (to.shard != from.shard) {
     // The seal()-derived lookahead must bound every cross-shard latency;
     // anything tighter (a post-seal matrix edit would be the only way)
     // breaks the window protocol, so refuse loudly.
@@ -152,8 +155,16 @@ std::uint64_t ShardedNetwork::submit(Message message) {
           "ShardedNetwork::submit: cross-shard latency below lookahead");
     }
     ++ss.cross;
-    ss.outbox[dst.shard].push_back(FlightEntry{at, std::move(message)});
+    if (kernel_.running()) {
+      ss.outbox[kernel_.write_side() * shards_.size() + to.shard]
+          .entries.emplace_back(at, std::move(message));
+      kernel_.note_outbound(from.shard, at);
+      return id;
+    }
+    // Between runs no shard executes: deliver through the destination's
+    // queue directly.
   }
+  schedule_delivery(to.shard, at, std::move(message));
   return id;
 }
 
@@ -173,8 +184,8 @@ void ShardedNetwork::schedule_delivery(std::uint32_t dst_shard,
                                        sim::SimTime at, Message&& message) {
   ShardState& ss = shards_[dst_shard];
   const std::uint32_t slot = flight_store(ss, std::move(message));
-  // {this, shard, slot} is 16 bytes and trivially copyable: stays in
-  // std::function's inline buffer, so a delivery never allocates.
+  // {this, shard, slot} rides inline in the event slot, so a delivery
+  // never allocates.
   kernel_.shard(dst_shard).schedule_at(
       at, [this, dst_shard, slot] { deliver_flight(dst_shard, slot); },
       ss.component);
@@ -198,29 +209,37 @@ void ShardedNetwork::deliver_flight(std::uint32_t shard, std::uint32_t slot) {
   ep.handler(message);
 }
 
-void ShardedNetwork::merge_inbound(std::size_t dst_shard) {
+void ShardedNetwork::merge_inbound(std::size_t dst_shard, std::size_t side) {
   const std::size_t shards = shards_.size();
-  ShardState& dst = shards_[dst_shard];
-  std::vector<FlightEntry>& scratch = dst.merge_scratch;
-  scratch.clear();
+  std::vector<InboundRef>& refs = shards_[dst_shard].merge_scratch;
+  refs.clear();
   for (std::size_t src = 0; src < shards; ++src) {
-    std::vector<FlightEntry>& ob = shards_[src].outbox[dst_shard];
-    for (FlightEntry& fe : ob) scratch.push_back(std::move(fe));
-    ob.clear();
+    const std::vector<FlightEntry>& ob =
+        shards_[src].outbox[side * shards + dst_shard].entries;
+    for (std::size_t i = 0; i < ob.size(); ++i) {
+      refs.push_back(InboundRef{ob[i].at, ob[i].msg.id,
+                                static_cast<std::uint32_t>(src),
+                                static_cast<std::uint32_t>(i)});
+    }
   }
-  if (scratch.empty()) return;
+  if (refs.empty()) return;
   // Canonical delivery order: (timestamp, message id). Message ids embed
   // (sender, sender seq), so this is a total order that does not depend
   // on shard count or arrival interleaving.
-  std::sort(scratch.begin(), scratch.end(),
-            [](const FlightEntry& a, const FlightEntry& b) {
-              return std::tie(a.at, a.msg.id) < std::tie(b.at, b.msg.id);
+  std::sort(refs.begin(), refs.end(),
+            [](const InboundRef& a, const InboundRef& b) {
+              return std::tie(a.at, a.id) < std::tie(b.at, b.id);
             });
-  for (FlightEntry& fe : scratch) {
+  for (const InboundRef& ref : refs) {
+    FlightEntry& fe =
+        shards_[ref.src].outbox[side * shards + dst_shard].entries[ref.index];
     schedule_delivery(static_cast<std::uint32_t>(dst_shard), fe.at,
                       std::move(fe.msg));
   }
-  scratch.clear();
+  for (std::size_t src = 0; src < shards; ++src) {
+    shards_[src].outbox[side * shards + dst_shard].entries.clear();
+  }
+  refs.clear();
 }
 
 void ShardedNetwork::set_node_up(NodeId id, bool up) {

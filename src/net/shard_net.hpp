@@ -104,7 +104,7 @@ class ShardedNetwork {
 
   [[nodiscard]] std::size_t size() const { return endpoints_.size(); }
   [[nodiscard]] std::size_t shard_of(NodeId id) const {
-    return endpoints_[id.value].shard;
+    return routes_[id.value].shard;
   }
   [[nodiscard]] sim::ShardedSimulation& kernel() { return kernel_; }
   [[nodiscard]] sim::SimTime lookahead() const { return lookahead_; }
@@ -126,10 +126,17 @@ class ShardedNetwork {
   void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:
-  struct EndpointState {
-    DeliveryHandler handler;
+  // Where an endpoint lives and how it links: fixed by seal(), then only
+  // read — by every shard that sends to it — so it is kept apart from the
+  // state the endpoint's own shard writes on every send.
+  struct EndpointRoute {
     std::uint32_t shard = 0;
     LinkClass link_class = 0;
+  };
+
+  // Touched only by the endpoint's home shard (or between runs).
+  struct EndpointState {
+    DeliveryHandler handler;
     bool up = true;
     std::uint32_t next_seq = 0;  // per-sender message sequence
     sim::Rng rng;                // derived from (kernel seed, endpoint id)
@@ -140,13 +147,29 @@ class ShardedNetwork {
     Message msg;
   };
 
+  // Where an inbound entry sits, with its canonical (time, id) order key:
+  // the exchange sorts these, then moves each message once.
+  struct InboundRef {
+    sim::SimTime at;
+    std::uint64_t id;
+    std::uint32_t src;    // source shard
+    std::uint32_t index;  // position in the source's outbox
+  };
+
+  // One cross-shard buffer, alone on its cache lines: its source fills it
+  // while other shards drain their own.
+  struct alignas(64) Outbox {
+    std::vector<FlightEntry> entries;
+  };
+
   // Everything a worker touches per message lives here, one cache-line
   // aligned block per shard.
   struct alignas(64) ShardState {
     std::vector<Message> flight;              // in-flight slab
     std::vector<std::uint32_t> flight_free;   // recycled slots, LIFO
-    std::vector<std::vector<FlightEntry>> outbox;  // per destination shard
-    std::vector<FlightEntry> merge_scratch;
+    // outbox[side * shard_count + dst]: the kernel's two buffer sides.
+    std::vector<Outbox> outbox;
+    std::vector<InboundRef> merge_scratch;
     sim::ComponentId component = sim::kAnonymousComponent;
     std::uint64_t sent = 0;
     std::uint64_t delivered = 0;
@@ -156,8 +179,8 @@ class ShardedNetwork {
     sim::RunHash hash;
   };
 
-  [[nodiscard]] ShardLinkQuality link_quality(const EndpointState& from,
-                                              const EndpointState& to) const {
+  [[nodiscard]] ShardLinkQuality link_quality(const EndpointRoute& from,
+                                              const EndpointRoute& to) const {
     const std::size_t cell =
         static_cast<std::size_t>(from.link_class) * kMaxLinkClasses +
         to.link_class;
@@ -168,9 +191,10 @@ class ShardedNetwork {
   void deliver_flight(std::uint32_t shard, std::uint32_t slot);
   void schedule_delivery(std::uint32_t dst_shard, sim::SimTime at,
                          Message&& message);
-  void merge_inbound(std::size_t dst_shard);
+  void merge_inbound(std::size_t dst_shard, std::size_t side);
 
   sim::ShardedSimulation& kernel_;
+  std::vector<EndpointRoute> routes_;
   std::vector<EndpointState> endpoints_;
   std::vector<ShardState> shards_;
   std::array<ShardLinkQuality, kMaxLinkClasses * kMaxLinkClasses>

@@ -1,13 +1,116 @@
 #include "sim/sharded.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace riot::sim {
 
 namespace {
+
+// How long a barrier waiter spins before it blocks: about what blocking
+// and being woken again can cost on a virtualized host, where the
+// releasing thread pays for every sleeper it wakes. A wait shorter than
+// this never blocks; a longer one spends at most twice the minimum.
+constexpr auto kBarrierSpin = std::chrono::microseconds(250);
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Spins (yielding now and then, so oversubscribed threads still progress)
+// until `word` no longer holds `old`, for at most kBarrierSpin. Returns
+// whether it changed; the caller blocks if not.
+bool spin_until_changed(const std::atomic<std::uint32_t>& word,
+                        std::uint32_t old) {
+  const auto spin_end = std::chrono::steady_clock::now() + kBarrierSpin;
+  for (std::uint32_t i = 1;; ++i) {
+    if (word.load(std::memory_order_acquire) != old) return true;
+    if (i % 64 != 0) {
+      cpu_relax();
+      continue;
+    }
+    if (std::chrono::steady_clock::now() >= spin_end) return false;
+    std::this_thread::yield();
+  }
+}
+
+// Worker placement. Each worker is moved onto its own CPU of the allowed
+// set (other than the creating thread's) as soon as it exists, and takes
+// the whole set back once every worker is running. Where the scheduler
+// balances load this changes nothing; where it does not — a cpuset with
+// load balancing off keeps a new thread on its creator's CPU, queued
+// behind the creator — it is what lets the shards run in parallel at all.
+struct CpuPlacement {
+#if defined(__linux__)
+  cpu_set_t allowed{};
+  bool known = false;
+  int home = -1;  // the creating thread's CPU
+#endif
+};
+
+CpuPlacement creator_placement() noexcept {
+  CpuPlacement placement;
+#if defined(__linux__)
+  placement.known =
+      sched_getaffinity(0, sizeof placement.allowed, &placement.allowed) == 0;
+  placement.home = sched_getcpu();
+#endif
+  return placement;
+}
+
+// Called by the creator: pins `worker` to the `rank`-th allowed CPU other
+// than the creator's.
+void place_worker(const CpuPlacement& placement, std::thread& worker,
+                  std::size_t rank) noexcept {
+#if defined(__linux__)
+  if (!placement.known) return;
+  const auto usable = [&](int cpu) {
+    return cpu != placement.home && CPU_ISSET(cpu, &placement.allowed);
+  };
+  std::size_t count = 0;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) count += usable(cpu) ? 1 : 0;
+  if (count == 0) return;
+  std::size_t skip = rank % count;
+  int target = 0;
+  for (;; ++target) {
+    if (!usable(target)) continue;
+    if (skip == 0) break;
+    --skip;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(target, &one);
+  pthread_setaffinity_np(worker.native_handle(), sizeof one, &one);
+#else
+  (void)placement;
+  (void)worker;
+  (void)rank;
+#endif
+}
+
+// Called by the worker once every worker is placed: takes the whole
+// allowed set back, staying where it is.
+void unpin_self(const CpuPlacement& placement) noexcept {
+#if defined(__linux__)
+  if (!placement.known) return;
+  pthread_setaffinity_np(pthread_self(), sizeof placement.allowed,
+                         &placement.allowed);
+#else
+  (void)placement;
+#endif
+}
 
 std::uint64_t shard_seed(std::uint64_t root, std::size_t shard) {
   // Stateless derivation: shard streams must not depend on construction
@@ -19,23 +122,66 @@ std::uint64_t shard_seed(std::uint64_t root, std::size_t shard) {
 
 }  // namespace
 
+void WindowBarrier::wait_past(std::uint32_t phase) {
+  if (spin_until_changed(phase_, phase)) return;
+  // Announce the sleep before the last look at the phase, so the releasing
+  // thread either sees a sleeper and notifies, or this load sees the new
+  // phase (both sides are sequentially consistent).
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  while (phase_.load(std::memory_order_seq_cst) == phase) {
+    phase_.wait(phase, std::memory_order_acquire);
+  }
+  sleepers_.fetch_sub(1, std::memory_order_relaxed);
+}
+
 ShardedSimulation::ShardedSimulation(std::size_t shard_count,
                                      std::uint64_t seed)
     : seed_(seed),
-      plan_barrier_(static_cast<std::ptrdiff_t>(
-                        shard_count > 0 ? shard_count : 1),
-                    PlanCompletion{this}),
-      exec_barrier_(static_cast<std::ptrdiff_t>(
-          shard_count > 0 ? shard_count : 1)) {
+      window_barrier_(shard_count > 0 ? shard_count : 1),
+      start_barrier_(shard_count > 0 ? shard_count : 1),
+      finish_barrier_(shard_count > 0 ? shard_count : 1) {
   if (shard_count == 0) {
     throw std::invalid_argument("ShardedSimulation: shard_count must be >= 1");
   }
   sims_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    sims_.push_back(std::make_unique<Simulation>(shard_seed(seed, i)));
+    sims_.push_back(std::make_unique<ShardKernel>(shard_seed(seed, i)));
   }
   slots_.resize(shard_count);
-  outbox_.resize(shard_count * shard_count);
+  outbox_.resize(2 * shard_count * shard_count);
+  // Started here rather than per run, so a run's first window does not
+  // wait on thread creation. A worker enters the window protocol only
+  // once every worker exists; if one cannot be started, the others are
+  // told to leave and joined before the error propagates.
+  const CpuPlacement placement = creator_placement();
+  workers_.reserve(shard_count - 1);
+  try {
+    for (std::size_t i = 1; i < shard_count; ++i) {
+      workers_.emplace_back([this, i, placement] {
+        if (!spin_until_changed(launch_, kLaunchPending)) {
+          launch_.wait(kLaunchPending, std::memory_order_acquire);
+        }
+        if (launch_.load(std::memory_order_acquire) == kLaunchAbort) return;
+        unpin_self(placement);
+        worker_main(i);
+      });
+      place_worker(placement, workers_.back(), i - 1);
+    }
+  } catch (...) {
+    launch_.store(kLaunchAbort, std::memory_order_release);
+    launch_.notify_all();
+    for (std::thread& t : workers_) t.join();
+    throw;
+  }
+  launch_.store(kLaunchGo, std::memory_order_release);
+  launch_.notify_all();
+}
+
+ShardedSimulation::~ShardedSimulation() {
+  if (workers_.empty()) return;
+  stop_ = true;
+  start_barrier_.arrive_and_wait([] {});
+  for (std::thread& t : workers_) t.join();
 }
 
 void ShardedSimulation::post(std::size_t src_shard, std::size_t dst_shard,
@@ -47,10 +193,10 @@ void ShardedSimulation::post(std::size_t src_shard, std::size_t dst_shard,
   }
   if (src_shard == dst_shard) {
     // Same shard: an ordinary local schedule, no barrier involved.
-    sims_[src_shard]->schedule_at(at, std::move(fn), component);
+    sims_[src_shard]->sim.schedule_at(at, std::move(fn), component);
     return;
   }
-  if (at < sims_[src_shard]->now() + lookahead_) {
+  if (at < sims_[src_shard]->sim.now() + lookahead_) {
     // A delivery inside the lookahead window could land on a shard that
     // already executed past `at` — refuse loudly instead of reordering
     // causality. (With lookahead 0 this still admits same-timestamp posts;
@@ -59,20 +205,28 @@ void ShardedSimulation::post(std::size_t src_shard, std::size_t dst_shard,
         "ShardedSimulation::post: cross-shard event inside the lookahead "
         "window");
   }
+  const std::size_t shards = sims_.size();
   ShardSlot& slot = slots_[src_shard];
-  outbox_[src_shard * sims_.size() + dst_shard].push_back(
-      PostedEvent{at, order_key, slot.posted_seq++,
-                  static_cast<std::uint32_t>(src_shard), component,
-                  std::move(fn)});
   ++slot.posted_total;
+  if (!running_) {
+    sims_[dst_shard]->sim.schedule_at(at, std::move(fn), component);
+    return;
+  }
+  outbox_[(write_side_ * shards + src_shard) * shards + dst_shard]
+      .events.push_back(PostedEvent{at, order_key, slot.posted_seq++,
+                                    static_cast<std::uint32_t>(src_shard),
+                                    component, std::move(fn)});
+  note_outbound(src_shard, at);
 }
 
-void ShardedSimulation::merge_posts(std::size_t dst_shard) {
+void ShardedSimulation::merge_posts(std::size_t dst_shard,
+                                    std::size_t side) {
   const std::size_t shards = sims_.size();
   std::vector<PostedEvent>& scratch = slots_[dst_shard].merge_scratch;
   scratch.clear();
   for (std::size_t src = 0; src < shards; ++src) {
-    std::vector<PostedEvent>& ob = outbox_[src * shards + dst_shard];
+    std::vector<PostedEvent>& ob =
+        outbox_[(side * shards + src) * shards + dst_shard].events;
     for (PostedEvent& pe : ob) scratch.push_back(std::move(pe));
     ob.clear();
   }
@@ -85,7 +239,7 @@ void ShardedSimulation::merge_posts(std::size_t dst_shard) {
               return std::tie(a.at, a.key, a.src, a.seq) <
                      std::tie(b.at, b.key, b.src, b.seq);
             });
-  Simulation& sim = *sims_[dst_shard];
+  Simulation& sim = sims_[dst_shard]->sim;
   for (PostedEvent& pe : scratch) {
     sim.schedule_at(pe.at, std::move(pe.fn), pe.component);
   }
@@ -93,6 +247,9 @@ void ShardedSimulation::merge_posts(std::size_t dst_shard) {
 }
 
 void ShardedSimulation::plan_window() noexcept {
+  // Whatever the plan, the exchange after this barrier drains what the
+  // last window wrote.
+  write_side_ ^= 1;
   if (error_flag_.load(std::memory_order_relaxed)) {
     done_ = true;
     return;
@@ -116,28 +273,48 @@ void ShardedSimulation::plan_window() noexcept {
   ++windows_;
 }
 
-void ShardedSimulation::worker_loop(std::size_t shard) {
-  Simulation& sim = *sims_[shard];
-  ShardSlot& slot = slots_[shard];
+void ShardedSimulation::worker_main(std::size_t shard) {
   for (;;) {
-    // Plan phase: drain inbound cross-shard work (kernel posts, then the
-    // transport's typed exchange), then publish the next local event time.
-    if (!error_flag_.load(std::memory_order_relaxed)) {
-      try {
-        merge_posts(shard);
-        if (exchange_) exchange_(shard);
-        slot.next_time = sim.next_event_time();
-      } catch (...) {
-        slot.error = std::current_exception();
-        error_flag_.store(true, std::memory_order_relaxed);
-        slot.next_time = kSimTimeMax;
-      }
-    } else {
-      slot.next_time = kSimTimeMax;
-    }
-    plan_barrier_.arrive_and_wait();  // completion: plan_window()
+    start_barrier_.arrive_and_wait([] {});
+    if (stop_) return;
+    worker_loop(shard);
+    finish_barrier_.arrive_and_wait([] {});
+  }
+}
+
+void ShardedSimulation::exchange(std::size_t shard, std::size_t side) {
+  if (error_flag_.load(std::memory_order_relaxed)) return;
+  try {
+    merge_posts(shard, side);
+    if (exchange_) exchange_(shard, side);
+  } catch (...) {
+    slots_[shard].error = std::current_exception();
+    error_flag_.store(true, std::memory_order_relaxed);
+  }
+}
+
+void ShardedSimulation::publish(std::size_t shard) {
+  ShardSlot& slot = slots_[shard];
+  slot.next_time =
+      std::min(sims_[shard]->sim.next_event_time(), slot.outbound_min);
+  slot.outbound_min = kSimTimeMax;
+}
+
+void ShardedSimulation::worker_loop(std::size_t shard) {
+  Simulation& sim = sims_[shard]->sim;
+  ShardSlot& slot = slots_[shard];
+  // No handler runs yet, so both sides can be taken in: whatever a run
+  // stopped by an exception left behind, and anything a transport
+  // buffered between runs. The first window is then planned with it.
+  exchange(shard, write_side_ ^ 1);
+  exchange(shard, write_side_);
+  publish(shard);
+  for (;;) {
+    window_barrier_.arrive_and_wait([this] { plan_window(); });
+    // Every shard finished the last window, so its cross-shard output is
+    // complete: take it in, then run the next window in parallel.
+    exchange(shard, write_side_ ^ 1);
     if (done_) break;
-    // Execute phase: everything strictly inside the window, in parallel.
     if (!error_flag_.load(std::memory_order_relaxed)) {
       try {
         sim.run_before(window_end_);
@@ -146,28 +323,26 @@ void ShardedSimulation::worker_loop(std::size_t shard) {
         error_flag_.store(true, std::memory_order_relaxed);
       }
     }
-    exec_barrier_.arrive_and_wait();
+    publish(shard);
   }
 }
 
 void ShardedSimulation::run_until(SimTime deadline) {
-  const std::size_t shards = sims_.size();
+  // The workers are parked outside start_barrier_, so this state is the
+  // caller's to reset.
   deadline_ = deadline;
   done_ = false;
   windows_ = 0;
   error_flag_.store(false, std::memory_order_relaxed);
   for (ShardSlot& slot : slots_) slot.error = nullptr;
 
-  // One worker per shard; shard 0 rides the calling thread, so a
-  // single-shard kernel runs exactly like a plain Simulation loop with
-  // per-window bookkeeping.
-  std::vector<std::thread> workers;
-  workers.reserve(shards > 0 ? shards - 1 : 0);
-  for (std::size_t i = 1; i < shards; ++i) {
-    workers.emplace_back([this, i] { worker_loop(i); });
-  }
+  // Shard 0 rides the calling thread, so a single-shard kernel runs
+  // exactly like a plain Simulation loop with per-window bookkeeping.
+  running_ = true;
+  start_barrier_.arrive_and_wait([] {});
   worker_loop(0);
-  for (std::thread& t : workers) t.join();
+  finish_barrier_.arrive_and_wait([] {});
+  running_ = false;
 
   // Surface the first (lowest-shard) handler exception deterministically.
   for (ShardSlot& slot : slots_) {
@@ -179,18 +354,18 @@ void ShardedSimulation::run_until(SimTime deadline) {
   }
   // Pin every shard clock to the deadline (run_until semantics). All
   // events <= deadline already ran, so these calls execute nothing.
-  for (auto& sim : sims_) sim->run_until(deadline);
+  for (auto& kernel : sims_) kernel->sim.run_until(deadline);
 }
 
 std::uint64_t ShardedSimulation::executed_events() const {
   std::uint64_t total = 0;
-  for (const auto& sim : sims_) total += sim->executed_events();
+  for (const auto& kernel : sims_) total += kernel->sim.executed_events();
   return total;
 }
 
 std::size_t ShardedSimulation::pending_events() const {
   std::size_t total = 0;
-  for (const auto& sim : sims_) total += sim->pending_events();
+  for (const auto& kernel : sims_) total += kernel->sim.pending_events();
   return total;
 }
 

@@ -13,10 +13,12 @@
 // Within a window every shard executes its local events in parallel;
 // cross-shard work produced during the window cannot land inside it
 // (latency >= lookahead), so shards never observe each other mid-window.
-// At the window barrier, buffered cross-shard events are exchanged and
-// enqueued into the destination shards in a canonical order — sorted by
-// (timestamp, order key, source shard, sequence), never by arrival race —
-// before the next window opens.
+// One barrier separates consecutive windows. Cross-shard buffers are
+// double-buffered, and every sender reports the earliest time it sent
+// to, so the next window is planned at the barrier itself; after it,
+// each shard takes in its inbound events in a canonical order — sorted
+// by (timestamp, order key, source shard, sequence), never by arrival
+// race — and runs the next window while the others fill the other side.
 //
 // Determinism contract (the non-negotiable): for a fixed (seed, config,
 // shard count), every run is bit-identical. For runs that differ only in
@@ -35,11 +37,12 @@
 #pragma once
 
 #include <atomic>
-#include <barrier>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -94,22 +97,64 @@ class RunHash {
   std::uint64_t count_ = 0;
 };
 
+/// Reusable barrier for the window loop. A window is often only tens of
+/// microseconds of work per shard — about what it costs to wake a blocked
+/// thread — so a waiter spins for a bounded time first (yielding now and
+/// then, so oversubscribed shards still progress) and only then blocks on
+/// the phase word. The last thread to arrive runs the completion before
+/// any waiter is released; everything written before arriving is visible
+/// to every thread after the barrier.
+class WindowBarrier {
+ public:
+  explicit WindowBarrier(std::size_t count) : count_(count) {}
+
+  WindowBarrier(const WindowBarrier&) = delete;
+  WindowBarrier& operator=(const WindowBarrier&) = delete;
+
+  template <typename Completion>
+  void arrive_and_wait(Completion&& completion) {
+    // The phase cannot advance before this thread arrives, so this load
+    // reads the current phase.
+    const std::uint32_t phase = phase_.load(std::memory_order_relaxed);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 < count_) {
+      wait_past(phase);
+      return;
+    }
+    arrived_.store(0, std::memory_order_relaxed);
+    completion();
+    phase_.store(phase + 1, std::memory_order_seq_cst);
+    // Pairs with the sleeper's increment-then-recheck in wait_past().
+    if (sleepers_.load(std::memory_order_seq_cst) > 0) phase_.notify_all();
+  }
+
+ private:
+  void wait_past(std::uint32_t phase);
+
+  const std::size_t count_;
+  alignas(64) std::atomic<std::size_t> arrived_{0};
+  alignas(64) std::atomic<std::uint32_t> phase_{0};
+  std::atomic<std::size_t> sleepers_{0};
+};
+
 class ShardedSimulation {
  public:
   /// `shard_count` >= 1. Shard i's Simulation is seeded deterministically
   /// from (seed, i); note that anything drawn from a *shard's* rng is only
   /// deterministic for that shard count — shard-count-invariant behavior
   /// requires per-entity streams (Rng derived from (seed, entity id)).
+  /// Starts one worker thread per shard beyond the first; they stay parked
+  /// between runs and are joined by the destructor.
   explicit ShardedSimulation(std::size_t shard_count, std::uint64_t seed = 1);
+  ~ShardedSimulation();
 
   ShardedSimulation(const ShardedSimulation&) = delete;
   ShardedSimulation& operator=(const ShardedSimulation&) = delete;
 
   [[nodiscard]] std::size_t shard_count() const { return sims_.size(); }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
-  [[nodiscard]] Simulation& shard(std::size_t i) { return *sims_[i]; }
+  [[nodiscard]] Simulation& shard(std::size_t i) { return sims_[i]->sim; }
   [[nodiscard]] const Simulation& shard(std::size_t i) const {
-    return *sims_[i];
+    return sims_[i]->sim;
   }
 
   /// Conservative lower bound on cross-shard latency. Every cross-shard
@@ -119,31 +164,52 @@ class ShardedSimulation {
   void set_lookahead(SimTime lookahead) { lookahead_ = lookahead; }
   [[nodiscard]] SimTime lookahead() const { return lookahead_; }
 
-  /// Exchange hook, called once per shard between windows on that shard's
-  /// worker thread, after every shard finished executing the window and
-  /// before the next window is computed. A transport layered on top (the
-  /// sharded network fabric) drains its typed cross-shard buffers for
-  /// `dst_shard` here, in its own canonical order.
-  using ExchangeFn = std::function<void(std::size_t dst_shard)>;
+  /// Exchange hook, called once per shard per window on that shard's
+  /// worker thread, after every shard finished executing the last window
+  /// and before this shard runs the next one (and for both sides at the
+  /// start of a run, for work buffered before it). A transport layered on
+  /// top (the sharded network fabric) drains its typed cross-shard buffers
+  /// on `side` for `dst_shard` here, in its own canonical order.
+  using ExchangeFn = std::function<void(std::size_t dst_shard,
+                                        std::size_t side)>;
   void set_exchange(ExchangeFn fn) { exchange_ = std::move(fn); }
 
+  /// True while run_until executes windows. Between runs no shard
+  /// executes, so cross-shard work goes straight onto its destination's
+  /// queue instead of through the buffers.
+  [[nodiscard]] bool running() const { return running_; }
+
+  /// Which of a transport's two cross-shard buffers (0 or 1) work buffered
+  /// now goes into. The exchange drains the other side, so the next
+  /// window can fill this one while the last one's output is taken in.
+  [[nodiscard]] std::size_t write_side() const { return write_side_; }
+
+  /// A transport that buffers cross-shard work itself reports the time of
+  /// each buffered item here, from the sending shard's thread (or between
+  /// runs), so the next window is planned with it before it is exchanged.
+  void note_outbound(std::size_t src_shard, SimTime at) {
+    SimTime& earliest = slots_[src_shard].outbound_min;
+    if (at < earliest) earliest = at;
+  }
+
   /// Schedule `fn` on shard `dst_shard` at absolute time `at`. Callable
-  /// from any shard's executing events (`src_shard` = the caller's shard).
-  /// `at` must be >= the source shard's clock + lookahead — enforced, so a
-  /// mis-set lookahead surfaces as an error instead of a causality hole.
-  /// Exchanged at the next barrier in (at, order_key, src_shard, seq)
-  /// order. `order_key` is the caller's deterministic tie-break (e.g. a
-  /// stable entity id); pass 0 when same-time posts commute.
+  /// from any shard's executing events (`src_shard` = the caller's shard)
+  /// or between runs. `at` must be >= the source shard's clock +
+  /// lookahead — enforced, so a mis-set lookahead surfaces as an error
+  /// instead of a causality hole. During a run, exchanged after the next
+  /// barrier in (at, order_key, src_shard, seq) order. `order_key` is the
+  /// caller's deterministic tie-break (e.g. a stable entity id); pass 0
+  /// when same-time posts commute.
   void post(std::size_t src_shard, std::size_t dst_shard, SimTime at,
             std::uint64_t order_key, std::function<void()> fn,
             ComponentId component = kAnonymousComponent);
 
   /// Run every shard until its queue drains or the clock passes
   /// `deadline`; events stamped exactly at `deadline` run. Shard clocks
-  /// end at `deadline` (run_until semantics). Worker threads (one per
-  /// shard; shard 0 runs on the calling thread) live for the duration of
-  /// the call. An exception thrown by any handler stops the run at the
-  /// next barrier and is rethrown here.
+  /// end at `deadline` (run_until semantics). Shard 0 runs on the calling
+  /// thread, every other shard on its own worker thread. An exception
+  /// thrown by any handler stops the run at the next barrier and is
+  /// rethrown here.
   void run_until(SimTime deadline);
 
   /// Sum of executed events across shards.
@@ -170,33 +236,52 @@ class ShardedSimulation {
   // owning shard's thread (or read across the window barrier).
   struct alignas(64) ShardSlot {
     SimTime next_time = kSimTimeMax;
+    SimTime outbound_min = kSimTimeMax;  // earliest cross-shard send
     std::uint64_t posted_seq = 0;    // per-source push order for posts
     std::uint64_t posted_total = 0;  // cross-shard posts originated here
     std::exception_ptr error;
     std::vector<PostedEvent> merge_scratch;  // reused by this shard's merges
   };
 
-  void merge_posts(std::size_t dst_shard);
-  void worker_loop(std::size_t shard);
-  void plan_window() noexcept;
-
-  // Barrier completion step: runs on exactly one worker thread once all
-  // shards arrived, before any is released — the single-threaded slice
-  // that plans the next window.
-  struct PlanCompletion {
-    ShardedSimulation* self;
-    void operator()() noexcept { self->plan_window(); }
+  // A shard's kernel on cache lines of its own: every event writes its
+  // clock and queue, and the neighbouring kernels belong to other threads.
+  struct alignas(64) ShardKernel {
+    explicit ShardKernel(std::uint64_t seed) : sim(seed) {}
+    Simulation sim;
   };
+
+  // One buffer of cross-shard posts, alone on its cache lines: its
+  // source fills it while other shards drain their own.
+  struct alignas(64) Outbox {
+    std::vector<PostedEvent> events;
+  };
+
+  void merge_posts(std::size_t dst_shard, std::size_t side);
+  // Takes in `shard`'s inbound cross-shard work buffered on `side`.
+  void exchange(std::size_t shard, std::size_t side);
+  // Publishes the earliest time `shard` can act next: its own next event
+  // or the earliest cross-shard work it sent during the window.
+  void publish(std::size_t shard);
+  // Thread body of shards 1..n-1: one worker_loop per run_until.
+  void worker_main(std::size_t shard);
+  void worker_loop(std::size_t shard);
+  // Completion step of window_barrier_: runs on exactly one worker thread
+  // once all shards arrived, before any is released — the single-threaded
+  // slice that flips the buffer sides and plans the next window.
+  void plan_window() noexcept;
 
   std::uint64_t seed_;
   SimTime lookahead_ = kSimTimeZero;
   ExchangeFn exchange_;
-  std::vector<std::unique_ptr<Simulation>> sims_;
+  std::vector<std::unique_ptr<ShardKernel>> sims_;
   std::vector<ShardSlot> slots_;
-  // outbox_[src * S + dst]: cross-shard posts buffered during a window.
-  // Written only by src's thread while executing, drained only by dst's
-  // thread at the barrier — the barrier itself is the synchronization.
-  std::vector<std::vector<PostedEvent>> outbox_;
+  // outbox_[(side * S + src) * S + dst]: cross-shard posts buffered
+  // during a window. Written only by src's thread on write_side_, drained
+  // only by dst's thread on the other side after the barrier — the
+  // barrier and the side flip are the synchronization.
+  std::vector<Outbox> outbox_;
+  std::size_t write_side_ = 0;
+  bool running_ = false;  // set by the caller around each run
   std::uint64_t windows_ = 0;
 
   // Window state owned by the barrier completion step (single-threaded,
@@ -208,11 +293,22 @@ class ShardedSimulation {
   // completion step, which turns it into a uniform stop.
   std::atomic<bool> error_flag_{false};
 
-  // plan_barrier_ separates "everyone published next_time" from "window
-  // planned"; exec_barrier_ separates "everyone executed the window" from
-  // "outboxes may be drained". Both are reused across windows and runs.
-  std::barrier<PlanCompletion> plan_barrier_;
-  std::barrier<> exec_barrier_;
+  // window_barrier_ separates "everyone executed the window and published
+  // next_time" from "next window planned, last window's output may be
+  // drained". start_barrier_ and finish_barrier_ bracket each run_until:
+  // between them the workers run windows, outside them they are parked
+  // and the caller owns every shard.
+  WindowBarrier window_barrier_;
+  WindowBarrier start_barrier_;
+  WindowBarrier finish_barrier_;
+  bool stop_ = false;  // set by the destructor, read after start_barrier_
+  // Whether the workers may enter the window protocol: every one of them
+  // started (go), or the constructor failed part-way (abort).
+  static constexpr std::uint32_t kLaunchPending = 0;
+  static constexpr std::uint32_t kLaunchGo = 1;
+  static constexpr std::uint32_t kLaunchAbort = 2;
+  std::atomic<std::uint32_t> launch_{kLaunchPending};
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace riot::sim

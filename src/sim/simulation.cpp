@@ -44,12 +44,7 @@ void Simulation::retire_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-void Simulation::reserve_events(std::size_t expected_pending) {
-  slots_.reserve(expected_pending);
-  free_slots_.reserve(expected_pending);
-}
-
-EventId Simulation::schedule_at(SimTime at, std::function<void()> fn,
+EventId Simulation::schedule_at(SimTime at, Callback fn,
                                 ComponentId component) {
   if (at < now_) {
     throw std::invalid_argument("Simulation::schedule_at: time in the past");
@@ -68,14 +63,13 @@ EventId Simulation::schedule_at(SimTime at, std::function<void()> fn,
   return make_id(slot, s.generation);
 }
 
-EventId Simulation::schedule_every(SimTime period, std::function<void()> fn,
+EventId Simulation::schedule_every(SimTime period, Callback fn,
                                    ComponentId component) {
   return schedule_every(period, period, std::move(fn), component);
 }
 
 EventId Simulation::schedule_every(SimTime initial_delay, SimTime period,
-                                   std::function<void()> fn,
-                                   ComponentId component) {
+                                   Callback fn, ComponentId component) {
   if (period <= kSimTimeZero) {
     throw std::invalid_argument("Simulation::schedule_every: period <= 0");
   }
@@ -127,8 +121,7 @@ void Simulation::compact_queue() {
   tombstones_ = 0;
 }
 
-void Simulation::invoke(std::function<void()>& fn, ComponentId component,
-                        SimTime at) {
+void Simulation::invoke(Callback& fn, ComponentId component, SimTime at) {
   ++executed_;
   if (profiler_ == nullptr) {
     fn();
@@ -153,6 +146,7 @@ bool Simulation::step() {
       continue;
     }
     now_ = qe.at;
+    current_ = make_id(qe.slot, qe.gen);
     const ComponentId component = s.component;
     if (s.state == SlotState::kPeriodic) {
       // Re-arm before invoking so the callback can cancel its own id. The
@@ -160,18 +154,18 @@ bool Simulation::step() {
       // the slab and relocate the slot it lives in.
       queue_push(QueuedEvent{qe.at + s.period, next_seq_++, qe.slot,
                              qe.gen});
-      std::function<void()> fn = std::move(s.fn);
+      Callback fn = std::move(s.fn);
       // Scope guard: the closure must return to its (possibly relocated)
       // slot on unwind too. A throwing handler would otherwise destroy the
       // moved-out closure while the re-armed heap entry survives, and the
-      // next firing would invoke an empty std::function
+      // next firing would invoke an empty callback
       // (std::bad_function_call). Skipped when the handler cancelled its
       // own id (generation moved on).
       struct RestoreClosure {
         Simulation& sim;
         std::uint32_t slot;
         std::uint32_t gen;
-        std::function<void()>& fn;
+        Callback& fn;
         ~RestoreClosure() {
           EventSlot& after = sim.slots_[slot];  // slab may have reallocated
           if (after.generation == gen) after.fn = std::move(fn);
@@ -179,7 +173,7 @@ bool Simulation::step() {
       } restore{*this, qe.slot, qe.gen, fn};
       invoke(fn, component, qe.at);
     } else {
-      std::function<void()> fn = std::move(s.fn);
+      Callback fn = std::move(s.fn);
       retire_slot(qe.slot);  // cancel(id) inside the callback returns false
       --live_;
       invoke(fn, component, qe.at);

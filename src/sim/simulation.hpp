@@ -8,7 +8,8 @@
 //
 // Storage is a slab of generation-tagged event slots (see DESIGN.md §9):
 // the priority queue holds 24-byte POD entries referencing slots, callbacks
-// live in the slab, and cancellation is an O(1) generation bump — no
+// live in the slab as inline callables (no heap cell for closures up to
+// kInlineCallableBytes), and cancellation is an O(1) generation bump — no
 // per-event hash-set bookkeeping anywhere on the hot path. EventIds encode
 // (generation << 32 | slot), so ids are never reused within a Simulation
 // even though slots are.
@@ -28,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/inline_function.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
@@ -46,6 +48,11 @@ constexpr ComponentId kAnonymousComponent = 0;
 
 class Simulation {
  public:
+  /// What an event slot holds. Any callable converts implicitly; captures
+  /// up to kInlineCallableBytes that move without throwing are stored in
+  /// the slot itself, larger ones cost one heap cell.
+  using Callback = InlineFunction<void()>;
+
   explicit Simulation(std::uint64_t seed = 1)
       : rng_(seed), seed_(seed) {
     component_names_.emplace_back("sim");
@@ -83,11 +90,11 @@ class Simulation {
   [[nodiscard]] Profiler* profiler() const { return profiler_; }
 
   /// Schedule `fn` at absolute time `at` (>= now). Returns a cancellable id.
-  EventId schedule_at(SimTime at, std::function<void()> fn,
+  EventId schedule_at(SimTime at, Callback fn,
                       ComponentId component = kAnonymousComponent);
 
   /// Schedule `fn` after a delay from now.
-  EventId schedule_after(SimTime delay, std::function<void()> fn,
+  EventId schedule_after(SimTime delay, Callback fn,
                          ComponentId component = kAnonymousComponent) {
     return schedule_at(now_ + delay, std::move(fn), component);
   }
@@ -96,11 +103,16 @@ class Simulation {
   /// `initial_delay` when given). The callback may cancel itself via the
   /// returned id. Periodic events keep firing until cancelled or the run
   /// ends.
-  EventId schedule_every(SimTime period, std::function<void()> fn,
+  EventId schedule_every(SimTime period, Callback fn,
                          ComponentId component = kAnonymousComponent);
-  EventId schedule_every(SimTime initial_delay, SimTime period,
-                         std::function<void()> fn,
+  EventId schedule_every(SimTime initial_delay, SimTime period, Callback fn,
                          ComponentId component = kAnonymousComponent);
+
+  /// Id of the event whose callback is running (between events: the last
+  /// one that ran). Lets a periodic callback cancel itself without
+  /// capturing its own id. A one-shot's id is already retired while it
+  /// runs, so cancelling it returns false.
+  [[nodiscard]] EventId current_event() const { return current_; }
 
   /// Cancel a pending (or periodic) event. Returns false if it already ran
   /// or was never scheduled. O(1) amortized: retires the slot, leaving any
@@ -151,10 +163,6 @@ class Simulation {
   /// compaction in cancel(); exposed so tests can assert the bound.
   [[nodiscard]] std::size_t queued_entries() const { return queue_.size(); }
 
-  /// Pre-size the slab and queue for an expected number of concurrently
-  /// pending events (optional; the slab grows on demand).
-  void reserve_events(std::size_t expected_pending);
-
  private:
   // What the priority queue holds: a POD ticket referencing a slab slot.
   // Heap sift operations move 24 bytes, never a closure.
@@ -176,7 +184,7 @@ class Simulation {
   // slot is retired (fired one-shot or cancelled), invalidating both the
   // outstanding EventId and any queue entry still carrying the old tag.
   struct EventSlot {
-    std::function<void()> fn;
+    Callback fn;
     SimTime period = kSimTimeZero;  // periodic re-arm interval
     std::uint32_t generation = 1;
     ComponentId component = kAnonymousComponent;
@@ -189,7 +197,7 @@ class Simulation {
 
   std::uint32_t acquire_slot();
   void retire_slot(std::uint32_t slot);
-  void invoke(std::function<void()>& fn, ComponentId component, SimTime at);
+  void invoke(Callback& fn, ComponentId component, SimTime at);
 
   // Explicit binary heap over queue_ (std::push_heap/pop_heap with Later)
   // instead of std::priority_queue: compaction needs access to the
@@ -231,6 +239,7 @@ class Simulation {
   std::uint64_t seed_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  EventId current_ = kInvalidEventId;
   std::size_t live_ = 0;  // scheduled and not yet fired/cancelled
   bool stop_requested_ = false;
   Profiler* profiler_ = nullptr;

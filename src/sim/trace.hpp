@@ -148,13 +148,6 @@ class TraceLog {
   /// Start a fluent event at the bound clock's current time.
   [[nodiscard]] EventBuilder event(std::string component, std::string kind);
 
-  /// DEPRECATED raw-struct entry point; emit through event() instead so
-  /// events stay machine-matchable and span-correlated.
-  [[deprecated("use TraceLog::event() fluent builder")]] void emit(
-      TraceEvent ev) {
-    push(std::move(ev));
-  }
-
   void log(SimTime at, TraceLevel level, std::string component,
            std::uint32_t node, std::string kind, std::string detail = {}) {
     push(TraceEvent{at, level, std::move(component), node, std::move(kind),

@@ -27,13 +27,21 @@
 //
 // The queue is transport-agnostic (callbacks, no net dependency) so unit
 // tests drive it directly; TierServer (service.hpp) binds it to RPC.
+//
+// Storage is allocation-free in steady state: each request's callbacks
+// sit in a recycled entry slot from offer() until it is served or shed,
+// the service-completion event captures only {this, slot}, and the EDF
+// multimap (deadline -> slot) draws its nodes from a pool that keeps
+// freed nodes for reuse.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <memory_resource>
 #include <utility>
+#include <vector>
 
+#include "sim/inline_function.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 
@@ -53,9 +61,10 @@ enum class ShedReason : std::uint8_t {
 class AdmissionQueue {
  public:
   /// `on_served` runs when the request's service completes; `on_shed`
-  /// runs (at most once, instead of on_served) when it is shed.
-  using Served = std::function<void()>;
-  using Shed = std::function<void(ShedReason)>;
+  /// runs (at most once, instead of on_served) when it is shed. Captures
+  /// up to kInlineCallableBytes are stored without a heap cell.
+  using Served = InlineFunction<void()>;
+  using Shed = InlineFunction<void(ShedReason)>;
 
   AdmissionQueue(Simulation& sim, AdmissionConfig config)
       : sim_(sim), config_(config) {}
@@ -78,15 +87,22 @@ class AdmissionQueue {
     Shed on_shed;
   };
 
-  void shed(Entry& entry, ShedReason reason, std::uint64_t& counter);
-  void start_service(Entry entry);
+  std::uint32_t store(Served on_served, Shed on_shed);
+  Entry take(std::uint32_t entry);  // move out and free the slot
+  void shed(std::uint32_t entry, ShedReason reason, std::uint64_t& counter);
+  void start_service(std::uint32_t entry);
+  void finish_service(std::uint32_t entry);
   void dispatch();  // fill free slots from the queue head
 
   Simulation& sim_;
   AdmissionConfig config_;
-  // EDF wait queue: key = absolute deadline (kSimTimeMax for none); FIFO
-  // among equal deadlines via multimap insertion order.
-  std::multimap<SimTime, Entry> queue_;
+  // Waiting and in-service requests; slots are recycled LIFO.
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> free_entries_;
+  // EDF wait queue: key = absolute deadline (kSimTimeMax for none), value
+  // = entry slot; FIFO among equal deadlines via multimap insertion order.
+  std::pmr::unsynchronized_pool_resource queue_nodes_;
+  std::pmr::multimap<SimTime, std::uint32_t> queue_{&queue_nodes_};
   std::size_t in_service_ = 0;
   std::size_t high_water_ = 0;
   std::uint64_t offered_ = 0;

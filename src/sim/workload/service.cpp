@@ -7,6 +7,9 @@
 namespace riot::sim::workload {
 namespace {
 
+using Result = net::RpcResult<ServeResponse>;
+using Completion = net::RpcEndpoint::Completion;
+
 // splitmix64 finalizer: deterministic per-request uniform for the
 // local-hit decision (hashing beats an RNG draw here — the decision must
 // not perturb any seeded stream, and must be stable per request across
@@ -79,18 +82,19 @@ TierServer::TierServer(net::Network& network, Tier tier,
       [this](net::NodeId /*from*/, const ServeRequest& request,
              SimTime deadline, net::RpcResponder<ServeResponse> respond) {
         requests_total_.increment();
-        admission_.offer(
-            deadline,
-            [this, request, deadline, respond] {
-              serve_one(request, deadline, respond);
-            },
-            [this, request, respond](ShedReason reason) {
-              (reason == ShedReason::kQueueFull ? shed_full_total_
-                                                : shed_expired_total_)
-                  .increment();
-              respond(ServeResponse{request.seq,
-                                    static_cast<std::uint8_t>(tier_), false});
-            });
+        auto serve = [this, request, deadline, respond] {
+          serve_one(request, deadline, respond);
+        };
+        auto shed = [this, request, respond](ShedReason reason) {
+          (reason == ShedReason::kQueueFull ? shed_full_total_
+                                            : shed_expired_total_)
+              .increment();
+          respond(ServeResponse{request.seq, static_cast<std::uint8_t>(tier_),
+                                false});
+        };
+        static_assert(AdmissionQueue::Served::stores_inline<decltype(serve)>());
+        static_assert(AdmissionQueue::Shed::stores_inline<decltype(shed)>());
+        admission_.offer(deadline, std::move(serve), std::move(shed));
       });
 }
 
@@ -126,18 +130,19 @@ void TierServer::serve_one(const ServeRequest& request, SimTime deadline,
     options.deadline = remaining;
   }
   ++forwarded_;
+  auto done = [this, seq = request.seq, respond](Result r) {
+    if (r.ok()) {
+      respond(*r.value);  // propagate the terminating tier's answer
+      return;
+    }
+    ++downstream_failed_;
+    downstream_failed_total_.increment();
+    respond(ServeResponse{seq, static_cast<std::uint8_t>(tier_), false});
+  };
+  static_assert(Completion::stores_inline<decltype(done)>());
   rpc_.call_result<ServeRequest, ServeResponse>(
       downstream_[request.client % downstream_.size()], request, options,
-      [this, seq = request.seq, respond](net::RpcResult<ServeResponse> r) {
-        if (r.ok()) {
-          respond(*r.value);  // propagate the terminating tier's answer
-          return;
-        }
-        ++downstream_failed_;
-        downstream_failed_total_.increment();
-        respond(
-            ServeResponse{seq, static_cast<std::uint8_t>(tier_), false});
-      });
+      std::move(done));
 }
 
 ServingFabric::ServingFabric(net::Network& network, FabricConfig config)
@@ -237,16 +242,17 @@ void ClientBank::issue(std::uint32_t client, Done done) {
   const SimTime started = simulation().now();
   ++issued_;
   ++in_flight_;
-  rpc_.call_result<ServeRequest, ServeResponse>(
-      fabric_.gateway_for(client), ServeRequest{seq, client}, options_,
-      [this, started, done = std::move(done)](
-          net::RpcResult<ServeResponse> r) {
-        --in_flight_;
-        const bool ok = r.ok() && r.value->success;
-        if (ok) ++succeeded_;
-        slo_.record(simulation().now() - started, ok);
-        if (done) done();
-      });
+  auto on_done = [this, started, done = std::move(done)](Result r) {
+    --in_flight_;
+    const bool ok = r.ok() && r.value->success;
+    if (ok) ++succeeded_;
+    slo_.record(simulation().now() - started, ok);
+    if (done) done();
+  };
+  static_assert(Completion::stores_inline<decltype(on_done)>());
+  rpc_.call_result<ServeRequest, ServeResponse>(fabric_.gateway_for(client),
+                                                ServeRequest{seq, client},
+                                                options_, std::move(on_done));
 }
 
 }  // namespace riot::sim::workload

@@ -1,0 +1,207 @@
+// Allocation gate for the serving request path.
+//
+// After a warm-up that grows every slab and table to its working size, the
+// request path must not touch the heap: kernel events with inline-sized
+// captures, Node timers, sync and async RPC round trips, timeouts with
+// retries and breaker fail-fasts each make zero allocations, and a
+// ServingFabric window stays at or below one allocation per request.
+// Counts come from a global operator new (as in bench_scale), so this file
+// is its own test binary.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "net/rpc.hpp"
+#include "net_fixture.hpp"
+#include "obs/slo.hpp"
+#include "sim/workload/generator.hpp"
+#include "sim/workload/service.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc{};
+}
+
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = nullptr;
+  const std::size_t al =
+      std::max(static_cast<std::size_t>(align), sizeof(void*));
+  if (posix_memalign(&p, al, size != 0 ? size : 1) == 0) return p;
+  throw std::bad_alloc{};
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace riot {
+namespace {
+
+/// Heap allocations made while `fn` runs.
+template <typename F>
+std::uint64_t allocs_during(F&& fn) {
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  fn();
+  return g_heap_allocs.load(std::memory_order_relaxed) - before;
+}
+
+/// Run `round` three times to reach steady state, then count a fourth.
+template <typename F>
+std::uint64_t steady_allocs(F&& round) {
+  for (int i = 0; i < 3; ++i) round();
+  return allocs_during(round);
+}
+
+constexpr int kBatch = 64;
+
+TEST(AllocRequestPath, KernelEventWithInlineCapture) {
+  using Callback = sim::Simulation::Callback;
+  sim::Simulation sim;
+  std::uint64_t sum = 0;
+  auto round = [&] {
+    for (int i = 0; i < kBatch; ++i) {
+      const std::uint64_t a = i, b = 2, c = 3, d = 4, e = 5, f = 6;
+      auto event = [&sum, a, b, c, d, e, f] { sum += a + b + c + d + e + f; };
+      static_assert(sizeof(event) == 56);
+      static_assert(Callback::stores_inline<decltype(event)>());
+      sim.schedule_after(sim::millis(1 + i % 4), std::move(event));
+    }
+    sim.run_for(sim::millis(10));
+  };
+  EXPECT_EQ(steady_allocs(round), 0u);
+  EXPECT_GT(sum, 0u);
+}
+
+struct EchoReq {
+  int value = 0;
+};
+struct EchoResp {
+  int value = 0;
+};
+
+struct Host : net::Node {
+  explicit Host(net::Network& network) : Node(network), rpc(*this) {}
+  net::RpcEndpoint rpc;
+};
+
+struct AllocRpcTest : testing::NetFixture {
+  AllocRpcTest() : client(network), server(network) {
+    // Small enough that the warm-up fills it: replies then overwrite the
+    // oldest cached entry instead of growing the ring.
+    server.rpc.set_dedup_capacity(16);
+  }
+
+  /// Issue a batch of calls, then run until every one has resolved.
+  void calls(net::RpcOptions options) {
+    for (int i = 0; i < kBatch; ++i) {
+      client.rpc.call_result<EchoReq, EchoResp>(
+          server.id(), EchoReq{i}, options,
+          [this](net::RpcResult<EchoResp> r) {
+            ++outcomes[static_cast<std::size_t>(r.error)];
+          });
+    }
+    sim.run_for(sim::seconds(2));
+  }
+
+  Host client;
+  Host server;
+  std::array<std::uint64_t, 5> outcomes{};
+};
+
+TEST_F(AllocRpcTest, NodeTimer) {
+  int fired = 0;
+  auto round = [&] {
+    for (int i = 0; i < kBatch; ++i) {
+      client.after(sim::millis(1 + i % 4), [&fired] { ++fired; });
+    }
+    sim.run_for(sim::millis(10));
+  };
+  EXPECT_EQ(steady_allocs(round), 0u);
+  EXPECT_EQ(fired, 4 * kBatch);
+}
+
+TEST_F(AllocRpcTest, SyncRoundTrip) {
+  server.rpc.serve<EchoReq, EchoResp>(
+      [](net::NodeId, const EchoReq& req) { return EchoResp{req.value * 2}; });
+  EXPECT_EQ(steady_allocs([&] { calls(net::RpcOptions{}); }), 0u);
+  EXPECT_EQ(outcomes[0], 4u * kBatch);
+}
+
+TEST_F(AllocRpcTest, AsyncRoundTrip) {
+  server.rpc.serve_async<EchoReq, EchoResp>(
+      [this](net::NodeId, const EchoReq& req, sim::SimTime,
+             net::RpcResponder<EchoResp> respond) {
+        sim.schedule_after(sim::millis(1), [respond, v = req.value * 2] {
+          respond(EchoResp{v});
+        });
+      });
+  EXPECT_EQ(steady_allocs([&] { calls(net::RpcOptions{}); }), 0u);
+  EXPECT_EQ(outcomes[0], 4u * kBatch);
+  EXPECT_EQ(server.rpc.in_progress_count(), 0u);
+}
+
+TEST_F(AllocRpcTest, TimeoutAndRetry) {
+  server.crash();
+  const net::RpcOptions options{.timeout = sim::millis(50),
+                                .max_attempts = 2,
+                                .use_breaker = false};
+  EXPECT_EQ(steady_allocs([&] { calls(options); }), 0u);
+  EXPECT_EQ(outcomes[static_cast<std::size_t>(net::RpcError::kTimeout)],
+            4u * kBatch);
+  EXPECT_EQ(client.rpc.retries(), 4u * kBatch);
+}
+
+TEST_F(AllocRpcTest, BreakerFailFast) {
+  server.crash();
+  client.rpc.set_breaker(net::BreakerConfig{.window = 4,
+                                            .min_samples = 2,
+                                            .failure_threshold = 0.5,
+                                            .open_timeout = sim::minutes(60)});
+  calls(net::RpcOptions{.timeout = sim::millis(50)});  // trips the breaker
+  ASSERT_EQ(client.rpc.breaker_state(server.id()), net::BreakerState::kOpen);
+  const std::uint64_t failed_fast = client.rpc.failed_fast();
+  EXPECT_EQ(steady_allocs([&] { calls(net::RpcOptions{}); }), 0u);
+  EXPECT_EQ(client.rpc.failed_fast() - failed_fast, 4u * kBatch);
+}
+
+struct AllocServingTest : testing::NetFixture {};
+
+TEST_F(AllocServingTest, FabricWindowStaysUnderOneAllocPerRequest) {
+  sim::workload::ServingFabric fabric(network, sim::workload::FabricConfig{});
+  obs::SloTracker slo(metrics, "serving", sim::millis(250));
+  sim::workload::ClientBank bank(network, fabric,
+                                 net::RpcOptions{.timeout = sim::millis(250),
+                                                 .max_attempts = 2,
+                                                 .deadline = sim::millis(600)},
+                                 slo);
+  sim::workload::OpenLoopGenerator generator(
+      sim, {.clients = 2000, .rate_per_client_hz = 1.0},
+      [&bank](std::uint32_t client) { bank.issue(client); });
+  generator.start();
+  sim.run_until(sim::seconds(2));  // warm-up
+  const std::uint64_t issued = bank.issued();
+  const std::uint64_t allocs =
+      allocs_during([&] { sim.run_until(sim::seconds(4)); });
+  const std::uint64_t requests = bank.issued() - issued;
+  ASSERT_GT(requests, 3000u);
+  EXPECT_LE(allocs, requests) << allocs << " allocations for " << requests
+                              << " requests";
+  EXPECT_GT(bank.succeeded(), 0u);
+}
+
+}  // namespace
+}  // namespace riot

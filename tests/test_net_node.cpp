@@ -78,6 +78,9 @@ TEST_F(NodeTest, TimersDieWithCrash) {
   node.crash();
   sim.run_until(sim::seconds(1));
   EXPECT_EQ(fired, 0);
+  // The periodic timer cancelled itself on its first firing after the
+  // crash instead of re-arming forever.
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST_F(NodeTest, OldTimersStayDeadAfterRecovery) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -233,7 +234,9 @@ TEST_F(RpcTest, DeadlineBudgetCapsTotalAttempts) {
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->ok());
   // The budget, not max_attempts, ended the call: 10 attempts at 100ms
-  // each can never fit in 350ms.
+  // each can never fit in 350ms. A budget too short for the next backoff
+  // ends the call as a timeout (kExpired is the server's shed verdict).
+  EXPECT_EQ(result->error, RpcError::kTimeout);
   EXPECT_LT(result->attempts, 10);
   EXPECT_GE(result->attempts, 3);
   EXPECT_LE(done_at, sim::millis(351));
@@ -381,6 +384,143 @@ TEST_F(RpcTest, DedupCacheEvictionIsBounded) {
   // Shrinking the bound evicts immediately.
   server.rpc.set_dedup_capacity(2);
   EXPECT_LE(server.rpc.dedup_size(), 2u);
+}
+
+TEST_F(RpcTest, DedupEvictionIsFifo) {
+  // Capacity 3, four distinct calls (ids 1-4): call 1 is evicted, 2-4 stay.
+  server.rpc.set_dedup_capacity(3);
+  for (int i = 0; i < 4; ++i) {
+    client.rpc.call<EchoReq, EchoResp>(server.id(), EchoReq{i}, RpcOptions{},
+                                       [](std::optional<EchoResp>) {});
+    sim.run_until(sim.now() + sim::millis(50));
+  }
+  ASSERT_EQ(server.rpc.handler_executions(), 4u);
+  // Re-send a completed call by id, as a late retry or duplicate would.
+  auto resend = [&](std::uint64_t call_id) {
+    detail::RpcRequestEnvelope env;
+    env.call_id = call_id;
+    env.attempt = 2;
+    env.body_kind = payload_kind_of<EchoReq>();
+    env.body_size = wire_size_of(EchoReq{});
+    env.body = NestedPayloadBox{EchoReq{}};
+    client.send(server.id(), std::move(env));
+    sim.run_until(sim.now() + sim::millis(50));
+  };
+  resend(4);  // newest: replayed from the cache
+  EXPECT_EQ(server.rpc.handler_executions(), 4u);
+  EXPECT_EQ(server.rpc.dedup_hits(), 1u);
+  resend(1);  // oldest: evicted, so the handler runs again
+  EXPECT_EQ(server.rpc.handler_executions(), 5u);
+  EXPECT_EQ(server.rpc.dedup_hits(), 1u);
+  // Re-executing call 1 cached it again and evicted the next oldest (2).
+  resend(1);
+  EXPECT_EQ(server.rpc.dedup_hits(), 2u);
+  resend(2);
+  EXPECT_EQ(server.rpc.handler_executions(), 6u);
+  EXPECT_EQ(server.rpc.dedup_size(), 3u);
+  // Both re-sent calls had already completed at the client: stale replies.
+  EXPECT_EQ(client.rpc.stale_responses(), 4u);
+}
+
+TEST_F(RpcTest, LateResponseNeverCompletesTheCallReusingItsSlot) {
+  // Call A times out; its done callback issues call B, which takes A's
+  // released slot. A's reply lands while B is pending in that slot: it
+  // must count as stale, and B must complete with its own reply.
+  const NodeId server_id = server.id();
+  auto reply_latency = std::make_shared<sim::SimTime>(sim::millis(130));
+  network.set_link_model([server_id, reply_latency](NodeId from, NodeId) {
+    return LinkQuality{from == server_id ? *reply_latency : sim::millis(10),
+                       sim::kSimTimeZero, 0.0};
+  });
+  sim.schedule_at(sim::millis(105), [&] { *reply_latency = sim::millis(50); });
+  const RpcOptions options{.timeout = sim::millis(100), .max_attempts = 1};
+  std::optional<RpcResult<EchoResp>> a;
+  std::optional<RpcResult<EchoResp>> b;
+  client.rpc.call_result<EchoReq, EchoResp>(
+      server.id(), EchoReq{1}, options, [&](RpcResult<EchoResp> r) {
+        a = std::move(r);
+        client.rpc.call_result<EchoReq, EchoResp>(
+            server.id(), EchoReq{7}, options,
+            [&](RpcResult<EchoResp> rb) { b = std::move(rb); });
+      });
+  // Timeline: A times out at 100 and B is sent; A's reply arrives at 140,
+  // B's at 160.
+  sim.run_until(sim::millis(150));
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->error, RpcError::kTimeout);
+  EXPECT_FALSE(b.has_value()) << "A's late reply must not complete B";
+  EXPECT_EQ(client.rpc.stale_responses(), 1u);
+  EXPECT_EQ(client.rpc.pending_count(), 1u);
+  sim.run_until(sim::seconds(1));
+  ASSERT_TRUE(b.has_value());
+  ASSERT_TRUE(b->ok());
+  EXPECT_EQ(b->value->value, 14);
+  EXPECT_EQ(client.rpc.pending_count(), 0u);
+}
+
+TEST_F(RpcTest, DoneMayIssueTheNextCall) {
+  // The slot is released before `done` runs, so a completion can chain the
+  // next call (which reuses the slot) without disturbing its own.
+  std::vector<int> results;
+  std::function<void(int)> issue = [&](int i) {
+    client.rpc.call_result<EchoReq, EchoResp>(
+        server.id(), EchoReq{i}, RpcOptions{}, [&, i](RpcResult<EchoResp> r) {
+          EXPECT_EQ(client.rpc.pending_count(), 0u);
+          ASSERT_TRUE(r.ok());
+          results.push_back(r.value->value);
+          if (i < 4) issue(i + 1);
+        });
+  };
+  issue(0);
+  sim.run_until(sim::seconds(1));
+  EXPECT_EQ(results, (std::vector<int>{0, 2, 4, 6, 8}));
+  EXPECT_EQ(client.rpc.pending_count(), 0u);
+}
+
+TEST_F(RpcTest, PendingCountReturnsToZeroOnEveryTerminalPath) {
+  auto settle = [&](auto issue, RpcError expected) {
+    std::optional<RpcError> seen;
+    issue([&](RpcError e) { seen = e; });
+    EXPECT_EQ(client.rpc.pending_count(), 1u);
+    sim.run_until(sim.now() + sim::seconds(1));
+    ASSERT_TRUE(seen.has_value());
+    EXPECT_EQ(*seen, expected);
+    EXPECT_EQ(client.rpc.pending_count(), 0u);
+  };
+  auto echo = [&](RpcOptions options) {
+    return [&, options](auto record) {
+      client.rpc.call_result<EchoReq, EchoResp>(
+          server.id(), EchoReq{1}, options,
+          [record](RpcResult<EchoResp> r) { record(r.error); });
+    };
+  };
+  settle(echo(RpcOptions{}), RpcError::kNone);
+  settle(
+      [&](auto record) {
+        client.rpc.call_result<Other, EchoResp>(
+            server.id(), Other{}, RpcOptions{},
+            [record](RpcResult<EchoResp> r) { record(r.error); });
+      },
+      RpcError::kNoHandler);
+  // A server clock running 10 s ahead sheds the request as already
+  // expired, and its kExpired reply beats the caller's own timeout.
+  network.set_clock_skew(server.id(), sim::seconds(10));
+  settle(echo(RpcOptions{.deadline = sim::millis(150)}), RpcError::kExpired);
+  network.set_clock_skew(server.id(), sim::kSimTimeZero);
+  server.crash();
+  settle(echo(RpcOptions{.timeout = sim::millis(50),
+                         .max_attempts = 2,
+                         .use_breaker = false}),
+         RpcError::kTimeout);  // timeout, backoff, retry, timeout
+  // With a two-outcome window, this timeout (after the shed) trips it.
+  client.rpc.set_breaker(BreakerConfig{.window = 2,
+                                       .min_samples = 2,
+                                       .failure_threshold = 0.5,
+                                       .open_timeout = sim::seconds(10)});
+  const RpcOptions once{.timeout = sim::millis(50)};
+  settle(echo(once), RpcError::kTimeout);
+  ASSERT_EQ(client.rpc.breaker_state(server.id()), BreakerState::kOpen);
+  settle(echo(once), RpcError::kCircuitOpen);
 }
 
 TEST_F(RpcTest, ServerSeesCallerId) {

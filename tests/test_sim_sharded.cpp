@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -38,6 +40,45 @@ TEST(RunHash, SensitiveToRecords) {
   a.mix(1, 2, 3, 4);
   b.mix(1, 2, 3, 5);
   EXPECT_NE(a.digest(), b.digest());
+}
+
+TEST(WindowBarrier, CompletionRunsOnceBeforeAnyoneLeaves) {
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 2000;
+  WindowBarrier barrier(kThreads);
+  int completed = 0;  // written only by the completion step
+  std::atomic<int> mismatches{0};
+  auto body = [&] {
+    for (int round = 1; round <= kRounds; ++round) {
+      barrier.arrive_and_wait([&] { ++completed; });
+      if (completed != round) ++mismatches;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t i = 1; i < kThreads; ++i) threads.emplace_back(body);
+  body();
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(completed, kRounds);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(WindowBarrier, LateArrivalWakesBlockedWaiters) {
+  // The last thread arrives long after the spin budget, so the others have
+  // stopped spinning and blocked; the release must wake them.
+  WindowBarrier barrier(3);
+  std::atomic<int> released{0};
+  std::vector<std::thread> early;
+  for (int i = 0; i < 2; ++i) {
+    early.emplace_back([&] {
+      barrier.arrive_and_wait([] {});
+      ++released;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(released.load(), 0);
+  barrier.arrive_and_wait([] {});
+  for (std::thread& t : early) t.join();
+  EXPECT_EQ(released.load(), 2);
 }
 
 TEST(ShardedSimulation, RejectsZeroShards) {
@@ -212,6 +253,47 @@ TEST(ShardedSimulation, DeadlineStopsAllShards) {
   EXPECT_EQ(fired.load(), 2);
   EXPECT_EQ(kernel.pending_events(), 1u);
   EXPECT_EQ(kernel.shard(0).now(), millis(10));
+}
+
+TEST(ShardedSimulation, CrossShardWorkCarriesIntoTheNextRun) {
+  ShardedSimulation kernel(3, 4);
+  kernel.set_lookahead(millis(1));
+  SimTime at1 = kSimTimeZero;  // written by shard 1
+  SimTime at0 = kSimTimeZero;  // written by shard 0
+  // Sent inside the first run, due after its deadline.
+  kernel.shard(0).schedule_at(millis(9), [&] {
+    kernel.post(0, 1, millis(15), 0, [&] { at1 = kernel.shard(1).now(); });
+  });
+  kernel.run_until(millis(10));
+  EXPECT_EQ(kernel.executed_events(), 1u);
+  EXPECT_EQ(kernel.pending_events(), 1u);  // already on shard 1's queue
+  // Posted between runs, from shard 2's side: no window is open, so it
+  // goes straight onto shard 0's queue.
+  kernel.post(2, 0, millis(12), 0, [&] { at0 = kernel.shard(0).now(); });
+  EXPECT_EQ(kernel.pending_events(), 2u);
+  kernel.run_until(millis(20));
+  EXPECT_EQ(at1, millis(15));
+  EXPECT_EQ(at0, millis(12));
+  EXPECT_EQ(kernel.executed_events(), 3u);
+  kernel.run_until(millis(30));  // nothing left: no window opens
+  EXPECT_EQ(kernel.windows(), 0u);
+  EXPECT_EQ(kernel.shard(2).now(), millis(30));
+}
+
+TEST(ShardedSimulation, PostsStrandedByAFailedRunLandInTheNextRun) {
+  ShardedSimulation kernel(3, 6);
+  kernel.set_lookahead(millis(1));
+  SimTime landed = kSimTimeZero;  // written by shard 1
+  kernel.shard(0).schedule_at(millis(5), [&] {
+    kernel.post(0, 1, millis(8), 0, [&] { landed = kernel.shard(1).now(); });
+  });
+  kernel.shard(2).schedule_at(millis(5), [] {
+    throw std::runtime_error("boom on shard 2");
+  });
+  EXPECT_THROW(kernel.run_until(millis(20)), std::runtime_error);
+  EXPECT_EQ(landed, kSimTimeZero);
+  kernel.run_until(millis(20));
+  EXPECT_EQ(landed, millis(8));
 }
 
 TEST(ShardedSimulation, HandlerExceptionPropagatesToCaller) {

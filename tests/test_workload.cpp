@@ -213,6 +213,40 @@ TEST_F(AdmissionTest, FullQueueShedsMostSlackEntry) {
   EXPECT_EQ(q.queue_high_water(), 2u);
 }
 
+TEST_F(AdmissionTest, EqualDeadlinesAreServedFifo) {
+  AdmissionQueue q(sim, {.queue_capacity = 8,
+                         .concurrency = 1,
+                         .service_time = millis(10)});
+  q.offer(seconds(9), serve_cb(0), shed_cb(0));  // in service
+  q.offer(seconds(5), serve_cb(1), shed_cb(1));
+  q.offer(seconds(5), serve_cb(2), shed_cb(2));
+  q.offer(seconds(2), serve_cb(3), shed_cb(3));  // jumps the tie
+  q.offer(seconds(5), serve_cb(4), shed_cb(4));
+  q.offer(seconds(5), serve_cb(5), shed_cb(5));
+  sim.run_until(seconds(1));
+  EXPECT_TRUE(shed.empty());
+  EXPECT_EQ(served, (std::vector<int>{0, 3, 1, 2, 4, 5}));
+}
+
+TEST_F(AdmissionTest, FullQueueEvictsNewestOfTheLatestDeadline) {
+  AdmissionQueue q(sim, {.queue_capacity = 3,
+                         .concurrency = 1,
+                         .service_time = millis(10)});
+  q.offer(seconds(9), serve_cb(0), shed_cb(0));  // in service
+  q.offer(seconds(8), serve_cb(1), shed_cb(1));
+  q.offer(seconds(8), serve_cb(2), shed_cb(2));
+  q.offer(seconds(8), serve_cb(3), shed_cb(3));
+  // Full, and three entries share the latest deadline: the most recently
+  // queued of them yields first.
+  q.offer(seconds(2), serve_cb(4), shed_cb(4));
+  q.offer(seconds(1), serve_cb(5), shed_cb(5));
+  ASSERT_EQ(shed.size(), 2u);
+  EXPECT_EQ(shed[0], (std::pair{3, ShedReason::kQueueFull}));
+  EXPECT_EQ(shed[1], (std::pair{2, ShedReason::kQueueFull}));
+  sim.run_until(seconds(1));
+  EXPECT_EQ(served, (std::vector<int>{0, 5, 4, 1}));
+}
+
 TEST_F(AdmissionTest, DeadOnArrivalIsShedNotQueued) {
   AdmissionQueue q(sim, {.queue_capacity = 8,
                          .concurrency = 1,
