@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -106,6 +107,24 @@ void BM_OrSetMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OrSetMerge)->Arg(50)->Arg(200);
+
+// One anti-entropy delivery in the chaos soak's steady state: a copy of the
+// sender's set (the message) merged into a receiver that already holds
+// every tag. Seven elements, `range(0)` tags added by five replicas.
+void BM_OrSetSyncConverged(benchmark::State& state) {
+  data::OrSet<std::string> sender, receiver;
+  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
+    sender.add("t" + std::to_string(i % 7),
+               static_cast<data::ReplicaId>(i % 5));
+  }
+  receiver.merge(sender);
+  for (auto _ : state) {
+    const data::OrSet<std::string> message = sender;
+    receiver.merge(message);
+    benchmark::DoNotOptimize(receiver.size());
+  }
+}
+BENCHMARK(BM_OrSetSyncConverged)->Arg(300);
 
 void BM_LtlProgressPerEvent(benchmark::State& state) {
   const auto formula = model::ltl::always(model::ltl::implies(

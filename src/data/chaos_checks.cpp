@@ -24,7 +24,7 @@ void mix(std::uint64_t& h, const std::string& s) {
   }
 }
 
-// Hash the observable value only; internal per-replica maps and tags
+// Hash the observable value only; internal per-replica counts and tags
 // differ between converged replicas and must not enter the digest.
 void mix_object(std::uint64_t& h, const CrdtObject& object) {
   mix(h, static_cast<std::uint64_t>(object.index()));

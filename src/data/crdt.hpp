@@ -12,7 +12,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -22,13 +24,102 @@
 
 namespace riot::data {
 
-using ReplicaId = std::uint32_t;
+/// A replica's identity in merge state. 64 bits wide so that stores can
+/// keep one id per incarnation (boot count in the high half, see
+/// CrdtStore::replica_id()).
+using ReplicaId = std::uint64_t;
+
+namespace detail {
+
+/// Orders (key, value) entries by key alone.
+struct ByKey {
+  template <typename E>
+  bool operator()(const E& a, const E& b) const {
+    return a.first < b.first;
+  }
+};
+
+/// Joins `theirs` into `mine`. Both are sorted by `less` and hold no two
+/// equivalent entries. An entry on both sides goes through
+/// `join(mine_entry, their_entry)`; the others are copied in by one
+/// backward merge, so `mine` allocates only when it has to grow.
+template <typename E, typename Less, typename Join>
+void join_sorted(std::vector<E>& mine, const std::vector<E>& theirs,
+                 Less less, Join join) {
+  std::size_t missing = 0;
+  auto it = mine.begin();
+  for (const E& entry : theirs) {
+    while (it != mine.end() && less(*it, entry)) ++it;
+    if (it != mine.end() && !less(entry, *it)) {
+      join(*it++, entry);
+    } else {
+      ++missing;
+    }
+  }
+  if (missing == 0) return;
+  std::size_t i = mine.size();
+  std::size_t j = theirs.size();
+  mine.resize(i + missing);
+  // Fill from the back; `out - i` is the number of entries of
+  // theirs[0, j) still to copy, so the loop ends when the rest of `mine`
+  // is already in place.
+  for (std::size_t out = mine.size(); out > i;) {
+    if (i == 0 || less(mine[i - 1], theirs[j - 1])) {
+      mine[--out] = theirs[--j];
+    } else {
+      if (!less(theirs[j - 1], mine[i - 1])) --j;  // joined above
+      mine[--out] = std::move(mine[--i]);
+    }
+  }
+}
+
+/// Unites the sorted, duplicate-free `theirs` into `mine`.
+template <typename V>
+void unite_sorted(std::vector<V>& mine, const std::vector<V>& theirs) {
+  join_sorted(mine, theirs, std::less<>{}, [](V&, const V&) {});
+}
+
+/// The first entry of a key-sorted vector whose key is not below `key`.
+template <typename Entries, typename K>
+auto lower_key(Entries& entries, const K& key) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), key,
+      [](const auto& entry, const K& k) { return entry.first < k; });
+}
+
+/// The entry for `key` in a key-sorted vector, or end().
+template <typename Entries, typename K>
+auto find_key(Entries& entries, const K& key) {
+  const auto it = lower_key(entries, key);
+  return it != entries.end() && !(key < it->first) ? it : entries.end();
+}
+
+/// The value for `key` in a key-sorted vector, inserted value-initialised
+/// when missing.
+template <typename K, typename V>
+V& slot(std::vector<std::pair<K, V>>& entries, const K& key) {
+  auto it = lower_key(entries, key);
+  if (it == entries.end() || key < it->first) {
+    it = entries.emplace(it, key, V{});
+  }
+  return it->second;
+}
+
+/// Per-replica maximum, the join of G-Counter counts and tag counters.
+inline void keep_max(std::pair<ReplicaId, std::uint64_t>& mine,
+                     const std::pair<ReplicaId, std::uint64_t>& theirs) {
+  mine.second = std::max(mine.second, theirs.second);
+}
+
+}  // namespace detail
 
 /// Grow-only counter: per-replica non-decreasing counts; value = sum.
+/// Counts are a replica-sorted vector, so a copy is one allocation and a
+/// merge is one linear pass.
 class GCounter {
  public:
   void increment(ReplicaId replica, std::uint64_t by = 1) {
-    counts_[replica] += by;
+    detail::slot(counts_, replica) += by;
   }
   [[nodiscard]] std::uint64_t value() const {
     std::uint64_t sum = 0;
@@ -36,15 +127,13 @@ class GCounter {
     return sum;
   }
   void merge(const GCounter& other) {
-    for (const auto& [r, c] : other.counts_) {
-      auto& mine = counts_[r];
-      mine = std::max(mine, c);
-    }
+    detail::join_sorted(counts_, other.counts_, detail::ByKey{},
+                        detail::keep_max);
   }
   [[nodiscard]] bool operator==(const GCounter&) const = default;
 
  private:
-  std::map<ReplicaId, std::uint64_t> counts_;
+  std::vector<std::pair<ReplicaId, std::uint64_t>> counts_;  // by replica
 };
 
 /// Increment/decrement counter as a pair of G-Counters.
@@ -200,67 +289,82 @@ class MvRegister {
 
 /// Observed-remove set: adds win over concurrent removes; removal only
 /// affects add-instances the remover has seen (unique tags).
+///
+/// Live elements and tombstones are element-sorted vectors of sorted tag
+/// vectors, so copying a set costs one allocation per vector, not one per
+/// tag, and merging two converged sets walks both once without
+/// allocating. Every merge drops the live tags a tombstone covers.
+/// T must be default-constructible.
 template <typename T>
 class OrSet {
  public:
   void add(const T& element, ReplicaId replica) {
-    const Tag tag{replica, ++tag_counters_[replica]};
-    live_[element].insert(tag);
+    const Tag tag{replica, ++detail::slot(tag_counters_, replica)};
+    Tags& tags = detail::slot(live_, element);
+    tags.insert(std::upper_bound(tags.begin(), tags.end(), tag), tag);
   }
 
   void remove(const T& element) {
-    auto it = live_.find(element);
+    const auto it = detail::find_key(live_, element);
     if (it == live_.end()) return;
-    for (const Tag& tag : it->second) tombstones_[element].insert(tag);
+    detail::unite_sorted(detail::slot(tombstones_, element), it->second);
     live_.erase(it);
   }
 
   [[nodiscard]] bool contains(const T& element) const {
-    return live_.find(element) != live_.end();
+    return detail::find_key(live_, element) != live_.end();
   }
 
   [[nodiscard]] std::set<T> elements() const {
     std::set<T> out;
-    for (const auto& [element, tags] : live_) out.insert(element);
+    for (const auto& [element, tags] : live_) out.insert(out.end(), element);
     return out;
   }
 
   [[nodiscard]] std::size_t size() const { return live_.size(); }
 
   void merge(const OrSet& other) {
-    // Union tombstones first.
-    for (const auto& [element, tags] : other.tombstones_) {
-      tombstones_[element].insert(tags.begin(), tags.end());
-    }
-    // Union live tags.
-    for (const auto& [element, tags] : other.live_) {
-      live_[element].insert(tags.begin(), tags.end());
-    }
-    // Drop any live tag that is tombstoned; erase emptied elements.
-    for (auto it = live_.begin(); it != live_.end();) {
-      auto ts = tombstones_.find(it->first);
-      if (ts != tombstones_.end()) {
-        for (const Tag& dead : ts->second) it->second.erase(dead);
-      }
-      it = it->second.empty() ? live_.erase(it) : std::next(it);
-    }
+    const auto unite = [](Entry& mine, const Entry& theirs) {
+      detail::unite_sorted(mine.second, theirs.second);
+    };
+    detail::join_sorted(tombstones_, other.tombstones_, detail::ByKey{},
+                        unite);
+    detail::join_sorted(live_, other.live_, detail::ByKey{}, unite);
+    drop_tombstoned();
     // Tag counters: max per replica, so future adds stay unique.
-    for (const auto& [r, c] : other.tag_counters_) {
-      auto& mine = tag_counters_[r];
-      mine = std::max(mine, c);
-    }
+    detail::join_sorted(tag_counters_, other.tag_counters_, detail::ByKey{},
+                        detail::keep_max);
   }
 
   [[nodiscard]] bool operator==(const OrSet& other) const {
-    return elements() == other.elements();
+    return std::ranges::equal(live_, other.live_, {}, &Entry::first,
+                              &Entry::first);
   }
 
  private:
   using Tag = std::pair<ReplicaId, std::uint64_t>;
+  using Tags = std::vector<Tag>;  // sorted
+  using Entry = std::pair<T, Tags>;
 
-  std::map<T, std::set<Tag>> live_;
-  std::map<T, std::set<Tag>> tombstones_;
-  std::map<ReplicaId, std::uint64_t> tag_counters_;
+  /// Drops every live tag a tombstone covers, then the elements left
+  /// without tags. One lockstep pass over both element vectors.
+  void drop_tombstoned() {
+    auto dead = tombstones_.begin();
+    for (auto& [element, tags] : live_) {
+      while (dead != tombstones_.end() && dead->first < element) ++dead;
+      if (dead == tombstones_.end()) break;
+      if (element < dead->first) continue;
+      const Tags& covered = dead->second;
+      std::erase_if(tags, [&covered](const Tag& tag) {
+        return std::binary_search(covered.begin(), covered.end(), tag);
+      });
+    }
+    std::erase_if(live_, [](const Entry& e) { return e.second.empty(); });
+  }
+
+  std::vector<Entry> live_;        // by element; tag vectors never empty
+  std::vector<Entry> tombstones_;  // by element
+  std::vector<std::pair<ReplicaId, std::uint64_t>> tag_counters_;  // by id
 };
 
 }  // namespace riot::data

@@ -51,6 +51,7 @@ CrdtStore::CrdtStore(net::Network& network, CrdtStoreConfig config)
     : net::Node(network),
       cfg_(config),
       rng_(network.simulation().rng().split("crdt" + to_string(id()))) {
+  set_component("crdt");
   on<SyncState>([this](net::NodeId from, const SyncState& state) {
     absorb(state);
     // Push-pull: answer a request with our own (post-merge) state so one
@@ -100,7 +101,9 @@ void CrdtStore::on_start() {
 
 void CrdtStore::on_recover() {
   // CRDT state is durable in spirit (devices persist their replicas); we
-  // model a diskless restart: state re-hydrates from peers' next syncs.
+  // model a diskless restart: state re-hydrates from peers' next syncs,
+  // and writes in this life go under a fresh replica_id().
+  ++boot_count_;
   objects_.clear();
   every(cfg_.sync_interval, [this] { round(); });
 }
@@ -111,11 +114,14 @@ void CrdtStore::round() {
   if (replicas_.empty()) return;
   const auto picks = rng_.sample_indices(
       replicas_.size(), static_cast<std::size_t>(cfg_.fanout));
+  if (picks.empty()) return;
+  // One copy of the store per pick but the last, which takes the original.
   SyncState state;
   state.objects.assign(objects_.begin(), objects_.end());
-  for (const std::size_t i : picks) {
-    send(replicas_[i], state);
+  for (std::size_t k = 0; k + 1 < picks.size(); ++k) {
+    send(replicas_[picks[k]], state);
   }
+  send(replicas_[picks.back()], std::move(state));
 }
 
 void CrdtStore::absorb(const SyncState& state) {

@@ -1,10 +1,12 @@
-// Allocation gate for the serving request path.
+// Allocation gates for the serving request path and CRDT anti-entropy.
 //
 // After a warm-up that grows every slab and table to its working size, the
 // request path must not touch the heap: kernel events with inline-sized
 // captures, Node timers, sync and async RPC round trips, timeouts with
 // retries and breaker fail-fasts each make zero allocations, and a
-// ServingFabric window stays at or below one allocation per request.
+// ServingFabric window stays at or below one allocation per request. One
+// anti-entropy exchange between converged CrdtStores costs a fixed number
+// of allocations, however many tags their OR-Set has collected.
 // Counts come from a global operator new (as in bench_scale), so this file
 // is its own test binary.
 #include <gtest/gtest.h>
@@ -15,7 +17,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
+#include "data/crdt_store.hpp"
 #include "net/rpc.hpp"
 #include "net_fixture.hpp"
 #include "obs/slo.hpp"
@@ -201,6 +205,50 @@ TEST_F(AllocServingTest, FabricWindowStaysUnderOneAllocPerRequest) {
   EXPECT_LE(allocs, requests) << allocs << " allocations for " << requests
                               << " requests";
   EXPECT_GT(bank.succeeded(), 0u);
+}
+
+struct AllocCrdtTest : testing::NetFixture {
+  /// Two replicas that know only each other. Neither is started, so they
+  /// sync only when told to.
+  struct Pair {
+    explicit Pair(net::Network& network) : a(network), b(network) {
+      a.set_replicas({b.id()});
+      b.set_replicas({a.id()});
+    }
+    data::CrdtStore a;
+    data::CrdtStore b;
+  };
+
+  /// Allocations of one exchange (a's request, b's merge and reply, a's
+  /// merge) once the pair has converged on an OR-Set of `tags` tags spread
+  /// over seven elements, the chaos soak's shape.
+  std::uint64_t converged_exchange_allocs(Pair& pair, int tags) {
+    for (int i = 0; i < tags; ++i) {
+      data::CrdtStore& writer = i % 2 == 0 ? pair.a : pair.b;
+      writer.orset("tags").add("t" + std::to_string(i % 7),
+                               writer.replica_id());
+    }
+    return steady_allocs([&] {
+      pair.a.sync_now();
+      sim.run_for(sim::seconds(1));
+    });
+  }
+
+  Pair small{network};
+  Pair large{network};
+};
+
+TEST_F(AllocCrdtTest, ConvergedExchangeCostDoesNotGrowWithTags) {
+  const std::uint64_t at_30 = converged_exchange_allocs(small, 30);
+  const std::uint64_t at_300 = converged_exchange_allocs(large, 300);
+  ASSERT_EQ(large.b.orset("tags").size(), 7u);
+  ASSERT_TRUE(data::stores_converged(large.a, large.b));
+  EXPECT_EQ(at_30, at_300);
+  // The request and the reply each copy the store, one allocation per
+  // vector (objects, live elements, seven tag vectors, tag counters), and
+  // the round draws its pick list. Merging tags both sides already hold
+  // allocates nothing.
+  EXPECT_LE(at_300, 21u);
 }
 
 }  // namespace

@@ -5,10 +5,100 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
+#include <map>
+#include <set>
+
 #include "sim/rng.hpp"
 
 namespace riot::data {
 namespace {
+
+// The node-based GCounter and OrSet that the sorted-vector ones replaced,
+// kept as an executable specification for the differential test below.
+namespace reference {
+
+class GCounter {
+ public:
+  void increment(ReplicaId replica, std::uint64_t by = 1) {
+    counts_[replica] += by;
+  }
+  [[nodiscard]] std::uint64_t value() const {
+    std::uint64_t sum = 0;
+    for (const auto& [r, c] : counts_) sum += c;
+    return sum;
+  }
+  void merge(const GCounter& other) {
+    for (const auto& [r, c] : other.counts_) {
+      auto& mine = counts_[r];
+      mine = std::max(mine, c);
+    }
+  }
+  [[nodiscard]] bool operator==(const GCounter&) const = default;
+
+ private:
+  std::map<ReplicaId, std::uint64_t> counts_;
+};
+
+template <typename T>
+class OrSet {
+ public:
+  void add(const T& element, ReplicaId replica) {
+    const Tag tag{replica, ++tag_counters_[replica]};
+    live_[element].insert(tag);
+  }
+
+  void remove(const T& element) {
+    auto it = live_.find(element);
+    if (it == live_.end()) return;
+    for (const Tag& tag : it->second) tombstones_[element].insert(tag);
+    live_.erase(it);
+  }
+
+  [[nodiscard]] bool contains(const T& element) const {
+    return live_.find(element) != live_.end();
+  }
+
+  [[nodiscard]] std::set<T> elements() const {
+    std::set<T> out;
+    for (const auto& [element, tags] : live_) out.insert(element);
+    return out;
+  }
+
+  void merge(const OrSet& other) {
+    for (const auto& [element, tags] : other.tombstones_) {
+      tombstones_[element].insert(tags.begin(), tags.end());
+    }
+    for (const auto& [element, tags] : other.live_) {
+      live_[element].insert(tags.begin(), tags.end());
+    }
+    for (auto it = live_.begin(); it != live_.end();) {
+      auto ts = tombstones_.find(it->first);
+      if (ts != tombstones_.end()) {
+        for (const Tag& dead : ts->second) it->second.erase(dead);
+      }
+      it = it->second.empty() ? live_.erase(it) : std::next(it);
+    }
+    for (const auto& [r, c] : other.tag_counters_) {
+      auto& mine = tag_counters_[r];
+      mine = std::max(mine, c);
+    }
+  }
+
+  [[nodiscard]] bool operator==(const OrSet& other) const {
+    return elements() == other.elements();
+  }
+
+ private:
+  using Tag = std::pair<ReplicaId, std::uint64_t>;
+
+  std::map<T, std::set<Tag>> live_;
+  std::map<T, std::set<Tag>> tombstones_;
+  std::map<ReplicaId, std::uint64_t> tag_counters_;
+};
+
+}  // namespace reference
 
 // --- GCounter ---------------------------------------------------------------
 
@@ -302,6 +392,118 @@ TEST_P(CrdtLaws, MvRegisterConvergesPairwise) {
   std::sort(va.begin(), va.end());
   std::sort(vb.begin(), vb.end());
   EXPECT_EQ(va, vb);
+}
+
+// --- Differential check against the node-based reference -------------------
+
+constexpr int kDiffReplicas = 3;
+constexpr int kDiffElements = 6;
+
+/// Three replicas, each holding a G-Counter and an OR-Set in both
+/// representations.
+struct DiffReplicas {
+  std::array<GCounter, kDiffReplicas> counters;
+  std::array<reference::GCounter, kDiffReplicas> ref_counters;
+  std::array<OrSet<int>, kDiffReplicas> sets;
+  std::array<reference::OrSet<int>, kDiffReplicas> ref_sets;
+
+  /// Replica ids that differ only in their high half, as two incarnations
+  /// of one node do.
+  static ReplicaId id(std::size_t replica) {
+    return (ReplicaId{replica} << 32) | 1;
+  }
+
+  void add(std::size_t i, int element) {
+    sets[i].add(element, id(i));
+    ref_sets[i].add(element, id(i));
+  }
+  void remove(std::size_t i, int element) {
+    sets[i].remove(element);
+    ref_sets[i].remove(element);
+  }
+  void merge(std::size_t into, std::size_t from) {
+    counters[into].merge(counters[from]);
+    ref_counters[into].merge(ref_counters[from]);
+    sets[into].merge(sets[from]);
+    ref_sets[into].merge(ref_sets[from]);
+  }
+
+  /// Every observation the public API offers agrees across representations.
+  [[nodiscard]] ::testing::AssertionResult agree() const {
+    for (std::size_t i = 0; i < kDiffReplicas; ++i) {
+      if (counters[i].value() != ref_counters[i].value()) {
+        return ::testing::AssertionFailure()
+               << "replica " << i << ": value " << counters[i].value()
+               << " vs " << ref_counters[i].value();
+      }
+      if (sets[i].elements() != ref_sets[i].elements()) {
+        return ::testing::AssertionFailure() << "replica " << i << ": elements";
+      }
+      if (sets[i].size() != ref_sets[i].elements().size()) {
+        return ::testing::AssertionFailure() << "replica " << i << ": size";
+      }
+      for (int e = 0; e < kDiffElements; ++e) {
+        if (sets[i].contains(e) != ref_sets[i].contains(e)) {
+          return ::testing::AssertionFailure()
+                 << "replica " << i << ": contains(" << e << ")";
+        }
+      }
+      for (std::size_t j = 0; j < kDiffReplicas; ++j) {
+        if ((counters[i] == counters[j]) !=
+                (ref_counters[i] == ref_counters[j]) ||
+            (sets[i] == sets[j]) != (ref_sets[i] == ref_sets[j])) {
+          return ::testing::AssertionFailure()
+                 << "replicas " << i << ", " << j << ": ==";
+        }
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+};
+
+TEST_P(CrdtLaws, SortedVectorsMatchNodeBasedReference) {
+  sim::Rng rng(GetParam() ^ 0x2468);
+  DiffReplicas r;
+  for (int step = 0; step < 400; ++step) {
+    const auto i = static_cast<std::size_t>(rng.below(kDiffReplicas));
+    const auto other = static_cast<std::size_t>(
+        (i + 1 + rng.below(kDiffReplicas - 1)) % kDiffReplicas);
+    const int element = static_cast<int>(rng.below(kDiffElements));
+    const std::uint64_t op = rng.below(100);
+    if (op < 20) {
+      const std::uint64_t by = rng.below(5);
+      r.counters[i].increment(DiffReplicas::id(i), by);
+      r.ref_counters[i].increment(DiffReplicas::id(i), by);
+    } else if (op < 42) {
+      r.add(i, element);
+    } else if (op < 56) {
+      r.remove(i, element);
+    } else if (op < 70) {
+      // Re-add after a merged remove: `other` removes an element it holds,
+      // `i` merges that remove and then adds the element again.
+      const std::set<int> present = r.ref_sets[other].elements();
+      if (present.empty()) continue;
+      const int victim = *std::next(
+          present.begin(), static_cast<long>(rng.below(present.size())));
+      r.remove(other, victim);
+      ASSERT_TRUE(r.agree()) << "step " << step;
+      r.merge(i, other);
+      ASSERT_TRUE(r.agree()) << "step " << step;
+      r.add(i, victim);
+    } else if (op < 94) {
+      r.merge(i, other);
+    } else if (op < 97) {
+      r.merge(i, i);  // self-merge: both sides alias the same state
+    } else {
+      // Diskless restart under the same id: only merged tag counters keep
+      // the replica's next adds from reusing tags its peers already hold.
+      r.counters[i] = {};
+      r.ref_counters[i] = {};
+      r.sets[i] = {};
+      r.ref_sets[i] = {};
+    }
+    ASSERT_TRUE(r.agree()) << "step " << step << ", op " << op;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrdtLaws,

@@ -198,6 +198,46 @@ TEST_F(CrdtStoreTest, RecoveredReplicaRehydrates) {
   EXPECT_EQ(stores[2]->gcounter("c").value(), 7u);
 }
 
+TEST_F(CrdtStoreTest, CountsWrittenBeforeRehydrationSurviveARestart) {
+  // A diskless restart forgets the replica's own count. Increments made
+  // before the first rehydrating sync must add to the pre-crash count, not
+  // lose to it under the per-replica maximum.
+  make_replicas(3);
+  stores[0]->gcounter("c").increment(stores[0]->replica_id(), 5);
+  sim.run_until(sim::seconds(5));
+  const ReplicaId first_life = stores[0]->replica_id();
+  stores[0]->crash();
+  sim.run_until(sim::seconds(6));
+  stores[0]->recover();
+  EXPECT_NE(stores[0]->replica_id(), first_life);
+  EXPECT_EQ(stores[0]->replica_id() & 0xffffffffu, stores[0]->id().value);
+  stores[0]->gcounter("c").increment(stores[0]->replica_id(), 2);
+  sim.run_until(sim::seconds(20));
+  for (auto& s : stores) {
+    EXPECT_EQ(s->gcounter("c").value(), 7u) << "replica " << s->replica_id();
+  }
+}
+
+TEST_F(CrdtStoreTest, ReAddAfterARestartWinsOverAnEarlierRemove) {
+  // Every replica has seen x added and then removed. The restarted writer
+  // adds x again before rehydrating; that add was never observed by the
+  // remove, so it must win, not reuse a tag the remove already covers.
+  make_replicas(3);
+  stores[0]->orset("s").add("x", stores[0]->replica_id());
+  sim.run_until(sim::seconds(5));
+  stores[1]->orset("s").remove("x");
+  sim.run_until(sim::seconds(10));
+  ASSERT_FALSE(stores[0]->orset("s").contains("x"));
+  stores[0]->crash();
+  sim.run_until(sim::seconds(11));
+  stores[0]->recover();
+  stores[0]->orset("s").add("x", stores[0]->replica_id());
+  sim.run_until(sim::seconds(25));
+  for (auto& s : stores) {
+    EXPECT_TRUE(s->orset("s").contains("x")) << "replica " << s->replica_id();
+  }
+}
+
 TEST_F(CrdtStoreTest, TypeMismatchThrowsLocally) {
   make_replicas(1);
   stores[0]->gcounter("k");
