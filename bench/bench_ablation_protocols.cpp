@@ -13,7 +13,7 @@
 #include "coord/gossip.hpp"
 #include "coord/raft.hpp"
 #include "membership/swim.hpp"
-#include "net_harness.hpp"
+#include "net/world.hpp"
 
 using namespace riot;
 
@@ -40,7 +40,7 @@ void swim_sweep(bench::BenchReport& report) {
     std::uint64_t false_positives = 0;
     double msg_rate = 0.0;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      bench::Harness h(seed);
+      net::World h(seed);
       membership::SwimConfig cfg;
       cfg.period = setting.period;
       cfg.ping_timeout = setting.period / 3;
@@ -85,7 +85,7 @@ void raft_sweep(bench::BenchReport& report) {
   table.tee_to(report);
   table.print_header();
   for (const int n : {1, 3, 5, 7, 9}) {
-    bench::Harness h(3);
+    net::World h(3);
     std::vector<std::unique_ptr<coord::RaftStorage>> storages;
     std::vector<std::unique_ptr<coord::RaftPeer>> peers;
     std::vector<net::NodeId> ids;
@@ -146,7 +146,7 @@ void gossip_sweep(bench::BenchReport& report) {
   table.tee_to(report);
   table.print_header();
   for (const int fanout : {1, 2, 3, 4, 6}) {
-    bench::Harness h(9);
+    net::World h(9);
     coord::GossipConfig cfg;
     cfg.fanout = fanout;
     cfg.round_interval = sim::millis(250);

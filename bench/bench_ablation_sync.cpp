@@ -14,7 +14,7 @@
 
 #include "bench_util.hpp"
 #include "data/crdt_store.hpp"
-#include "net_harness.hpp"
+#include "net/world.hpp"
 
 using namespace riot;
 
@@ -29,7 +29,7 @@ struct Outcome {
 };
 
 Outcome run(const std::string& strategy, std::uint64_t seed) {
-  bench::Harness h(seed);
+  net::World h(seed);
   constexpr int kReplicas = 4;
   std::vector<std::unique_ptr<data::CrdtStore>> stores;
   std::vector<net::NodeId> ids;

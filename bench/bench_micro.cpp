@@ -12,7 +12,7 @@
 #include "data/crdt.hpp"
 #include "model/ctl.hpp"
 #include "model/ltl.hpp"
-#include "net_harness.hpp"
+#include "net/world.hpp"
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
@@ -61,7 +61,7 @@ void BM_HistogramRecord(benchmark::State& state) {
 BENCHMARK(BM_HistogramRecord);
 
 void BM_NetworkSendDeliver(benchmark::State& state) {
-  bench::Harness h(3);
+  net::World h(3);
   struct Payload {
     int x;
   };
@@ -178,7 +178,7 @@ BENCHMARK(BM_CtlCheck)->Arg(1'000)->Arg(10'000);
 void BM_RaftCommitThroughput(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
-    bench::Harness h(8);
+    net::World h(8);
     std::vector<std::unique_ptr<coord::RaftStorage>> storages;
     std::vector<std::unique_ptr<coord::RaftPeer>> peers;
     std::vector<net::NodeId> ids;

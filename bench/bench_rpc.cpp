@@ -28,9 +28,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "net_harness.hpp"
 #include "net/node.hpp"
 #include "net/rpc.hpp"
+#include "net/world.hpp"
 
 namespace riot::bench {
 namespace {
@@ -77,7 +77,7 @@ RunResult run_scenario(const Scenario& scenario, bool resilient,
                        std::size_t clusters, std::size_t clients_per_cluster,
                        double sim_seconds, std::uint64_t seed,
                        BenchReport* snapshot_into) {
-  Harness h(seed);
+  net::World h(seed);
   h.trace.set_min_level(sim::TraceLevel::kWarn);
 
   std::vector<std::unique_ptr<RpcHost>> servers;

@@ -64,7 +64,7 @@
 #include "membership/heartbeat.hpp"
 #include "membership/swim.hpp"
 #include "net/shard_net.hpp"
-#include "net_harness.hpp"
+#include "net/world.hpp"
 #include "sim/sharded.hpp"
 
 // --- Heap-allocation counter -------------------------------------------------
@@ -178,7 +178,7 @@ struct Cluster {
 
 PhaseResult run_stack(std::size_t population, double sim_seconds,
                       std::uint64_t seed) {
-  Harness h(seed);
+  net::World h(seed);
   h.trace.set_min_level(sim::TraceLevel::kWarn);
 
   const std::size_t clusters = population / kClusterSize;
@@ -327,7 +327,7 @@ class PongNode final : public net::Node {
 };
 
 PhaseResult run_delivery(std::size_t population, double sim_seconds) {
-  Harness h(7);
+  net::World h(7);
   h.trace.set_min_level(sim::TraceLevel::kWarn);
   // Deterministic LAN link: zero jitter and zero loss keep the per-message
   // path free of RNG draws; the cached class matrix keeps it free of

@@ -47,7 +47,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "net_harness.hpp"
+#include "net/chaos_hooks.hpp"
+#include "net/world.hpp"
 #include "obs/slo.hpp"
 #include "sim/chaos.hpp"
 #include "sim/fault.hpp"
@@ -105,7 +106,7 @@ std::size_t nodes_for(double load_per_s, double cap_per_node_s,
 
 RunStats run_rung(const Rung& rung, bool faulted, std::uint64_t seed,
                   BenchReport* snapshot_into) {
-  Harness h(seed);
+  net::World h(seed);
   h.trace.set_min_level(sim::TraceLevel::kWarn);
 
   const double offered_hz =
@@ -182,10 +183,10 @@ RunStats run_rung(const Rung& rung, bool faulted, std::uint64_t seed,
   // Chaos: disruption windows across the tier nodes (never the client
   // banks — the front door stays up; the *fabric* degrades).
   sim::FaultInjector injector(h.sim, h.trace);
-  std::vector<wl::TierServer*> tier_nodes;
+  net::LogicalNodes tier_nodes;
   for (const wl::Tier tier :
        {wl::Tier::kGateway, wl::Tier::kEdge, wl::Tier::kCloud}) {
-    for (auto& node : fabric.tier(tier)) tier_nodes.push_back(node.get());
+    for (auto& node : fabric.tier(tier)) tier_nodes.push_back({node.get()});
   }
   if (faulted) {
     sim::chaos::ChaosProfile profile;
@@ -203,28 +204,8 @@ RunStats run_rung(const Rung& rung, bool faulted, std::uint64_t seed,
         1, tier_nodes.size() / 8);
     const auto schedule =
         sim::chaos::generate_schedule(seed ^ 0xC0FFEE, profile);
-    sim::chaos::ChaosHooks hooks;
-    hooks.crash_node = [&](std::uint32_t n) { tier_nodes[n]->crash(); };
-    hooks.restart_node = [&](std::uint32_t n) { tier_nodes[n]->recover(); };
-    hooks.partition = [&](const std::vector<std::uint32_t>& group_a) {
-      std::vector<net::NodeId> ids;
-      ids.reserve(group_a.size());
-      for (const std::uint32_t n : group_a) ids.push_back(tier_nodes[n]->id());
-      h.network.partition({ids});
-    };
-    hooks.heal = [&] { h.network.heal_partition(); };
-    hooks.isolate = [&](std::uint32_t n) {
-      h.network.isolate(tier_nodes[n]->id());
-    };
-    hooks.unisolate = [&](std::uint32_t n) {
-      h.network.unisolate(tier_nodes[n]->id());
-    };
-    hooks.ambient_loss = [&](double p) { h.network.set_ambient_loss(p); };
-    hooks.latency_factor = [&](double f) { h.network.set_latency_factor(f); };
-    hooks.duplicate = [&](double p) {
-      h.network.set_duplicate_probability(p);
-    };
-    sim::chaos::install_schedule(schedule, injector, std::move(hooks));
+    sim::chaos::install_schedule(schedule, injector,
+                                 net::chaos_hooks_for(h.network, tier_nodes));
     injector.arm();
   }
 

@@ -99,9 +99,10 @@ void GossipNode::put(const std::string& key, std::string value) {
   }
   entry->value = std::move(value);
   // Never step the epoch backwards: the entry may have been absorbed from a
-  // writer whose boot count is ahead of ours, and a lower-epoch overwrite
+  // writer whose incarnation is ahead of ours, and a lower-epoch overwrite
   // would lose to the very value it replaces.
-  entry->epoch = std::max(entry->epoch, boot_epoch_);
+  entry->epoch =
+      std::max(entry->epoch, static_cast<std::uint32_t>(incarnation()));
   ++entry->version;
   entry->origin = id().value;
   digest_cache_.reset();
@@ -127,9 +128,8 @@ void GossipNode::on_start() {
 
 void GossipNode::on_recover() {
   // Volatile store is gone after a crash; anti-entropy refills it. The
-  // bumped epoch keeps writes made in this life ahead of our own pre-crash
-  // values still circulating.
-  ++boot_epoch_;
+  // bumped incarnation keeps writes made in this life ahead of our own
+  // pre-crash values still circulating.
   store_.clear();
   digest_cache_.reset();
   every(cfg_.round_interval, [this] { round(); });

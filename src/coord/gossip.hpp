@@ -27,11 +27,12 @@ struct GossipConfig {
 struct VersionedValue {
   std::string value;
   // Ordering is (epoch, version, origin) lexicographic. The epoch is the
-  // writer's boot counter: a crash wipes the volatile store and with it the
-  // per-key version counters, so a recovered writer's next put would
-  // restart at version 1 and lose — cluster-wide, permanently — to its own
-  // pre-crash values pushed back by anti-entropy. A higher boot epoch makes
-  // post-recovery writes dominate anything written in an earlier life.
+  // writer's Node::incarnation(): a crash wipes the volatile store and
+  // with it the per-key version counters, so a recovered writer's next put
+  // would restart at version 1 and lose — cluster-wide, permanently — to
+  // its own pre-crash values pushed back by anti-entropy. A higher epoch
+  // makes post-recovery writes dominate anything written in an earlier
+  // life.
   std::uint32_t epoch = 0;
   std::uint64_t version = 0;     // per-key, monotone; origin breaks ties
   std::uint32_t origin = 0;      // NodeId.value of the writer
@@ -99,10 +100,6 @@ class GossipNode : public net::Node {
   GossipConfig cfg_;
   sim::Rng rng_;
   std::vector<net::NodeId> peers_;
-  // Boot counter, bumped on every recovery. Deliberately NOT cleared with
-  // the store: it models the tiny persistent boot count real devices keep
-  // in stable storage precisely so that reincarnations are ordered.
-  std::uint32_t boot_epoch_ = 0;
   // Flat keyed store. Per-node stores are small (tens of keys, SSO-sized)
   // and there are thousands of nodes at city scale, so a contiguous vector
   // with a linear probe beats a per-node hash table: no hashing, no

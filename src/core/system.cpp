@@ -4,29 +4,27 @@ namespace riot::core {
 
 IoTSystem::IoTSystem(SystemConfig config)
     : cfg_(config),
-      sim_(config.seed),
-      tracer_(sim_),
-      network_(sim_, metrics_, tracer_, trace_),
-      faults_(sim_, trace_),
-      energy_(sim_, registry_),
-      mobility_(sim_, registry_),
-      resilience_(sim_, config.resilience_sample_period) {
+      world_(config.seed),
+      faults_(world_.sim, world_.trace),
+      energy_(world_.sim, registry_),
+      mobility_(world_.sim, registry_),
+      resilience_(world_.sim, config.resilience_sample_period) {
   install_link_model();
   // Every fault injection runs under a fresh root span, so its full effect
   // tree (node_down incidents, SWIM suspicion, elections, re-placements)
   // hangs off one trace.
   faults_.set_inject_wrapper(
       [this](const std::string& name, const std::function<void()>& body) {
-        const obs::SpanContext root = tracer_.start_trace("fault", "inject");
-        tracer_.annotate(root, "name", name);
+        const obs::SpanContext root = tracer().start_trace("fault", "inject");
+        tracer().annotate(root, "name", name);
         {
-          obs::Tracer::Scope scope(tracer_, root);
+          obs::Tracer::Scope scope(tracer(), root);
           body();
         }
-        tracer_.end(root);
+        tracer().end(root);
       });
   energy_.on_depleted([this](device::DeviceId id) {
-    trace_.event("energy", "depleted")
+    trace().event("energy", "depleted")
         .warn()
         .node(id.value)
         .detail(registry_.get(id).name);
@@ -35,7 +33,7 @@ IoTSystem::IoTSystem(SystemConfig config)
 }
 
 void IoTSystem::install_link_model() {
-  network_.set_link_model([this](net::NodeId from, net::NodeId to) {
+  network().set_link_model([this](net::NodeId from, net::NodeId to) {
     const auto from_dev = registry_.find_by_node(from);
     const auto to_dev = registry_.find_by_node(to);
     if (!from_dev || !to_dev) return cfg_.latency.lan;
@@ -77,14 +75,15 @@ void IoTSystem::crash_device(device::DeviceId id) {
   // Root (or child, under an injection scope) span covering the crash of
   // all of the device's components; each component's node_down incident
   // becomes a child.
-  const obs::SpanContext span = tracer_.start_auto("system", "crash", id.value);
-  tracer_.annotate(span, "device", registry_.get(id).name);
+  const obs::SpanContext span =
+      tracer().start_auto("system", "crash", id.value);
+  tracer().annotate(span, "device", registry_.get(id).name);
   {
-    obs::Tracer::Scope scope(tracer_, span);
+    obs::Tracer::Scope scope(tracer(), span);
     for (net::Node* node : device_nodes_[id.value]) node->crash();
   }
-  tracer_.end(span);
-  trace_.event("system", "crash")
+  tracer().end(span);
+  trace().event("system", "crash")
       .warn()
       .node(id.value)
       .detail(registry_.get(id).name)
@@ -93,13 +92,13 @@ void IoTSystem::crash_device(device::DeviceId id) {
 
 void IoTSystem::recover_device(device::DeviceId id) {
   const obs::SpanContext span =
-      tracer_.start_auto("system", "recover", id.value);
+      tracer().start_auto("system", "recover", id.value);
   {
-    obs::Tracer::Scope scope(tracer_, span);
+    obs::Tracer::Scope scope(tracer(), span);
     for (net::Node* node : device_nodes_[id.value]) node->recover();
   }
-  tracer_.end(span);
-  trace_.event("system", "recover")
+  tracer().end(span);
+  trace().event("system", "recover")
       .node(id.value)
       .detail(registry_.get(id).name)
       .span(span);

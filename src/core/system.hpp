@@ -16,14 +16,10 @@
 #include "device/energy.hpp"
 #include "device/mobility.hpp"
 #include "device/registry.hpp"
-#include "net/network.hpp"
 #include "net/node.hpp"
+#include "net/world.hpp"
 #include "core/resilience.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "sim/fault.hpp"
-#include "sim/simulation.hpp"
-#include "sim/trace.hpp"
 
 namespace riot::core {
 
@@ -41,11 +37,11 @@ class IoTSystem {
   IoTSystem(const IoTSystem&) = delete;
   IoTSystem& operator=(const IoTSystem&) = delete;
 
-  [[nodiscard]] sim::Simulation& simulation() { return sim_; }
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] obs::Tracer& tracer() { return tracer_; }
-  [[nodiscard]] sim::TraceLog& trace() { return trace_; }
-  [[nodiscard]] net::Network& network() { return network_; }
+  [[nodiscard]] sim::Simulation& simulation() { return world_.sim; }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return world_.metrics; }
+  [[nodiscard]] obs::Tracer& tracer() { return world_.tracer; }
+  [[nodiscard]] sim::TraceLog& trace() { return world_.trace; }
+  [[nodiscard]] net::Network& network() { return world_.network; }
   [[nodiscard]] device::Registry& registry() { return registry_; }
   [[nodiscard]] sim::FaultInjector& faults() { return faults_; }
   [[nodiscard]] ResilienceEvaluator& resilience() { return resilience_; }
@@ -63,7 +59,8 @@ class IoTSystem {
   /// called on it immediately.
   template <typename NodeT, typename... Args>
   NodeT& attach(device::DeviceId host, Args&&... args) {
-    auto node = std::make_unique<NodeT>(network_, std::forward<Args>(args)...);
+    auto node =
+        std::make_unique<NodeT>(world_.network, std::forward<Args>(args)...);
     NodeT& ref = *node;
     adopt(host, std::move(node));
     ref.start();
@@ -80,19 +77,15 @@ class IoTSystem {
       device::DeviceId id) const;
 
   /// Run the simulation.
-  void run_for(sim::SimTime duration) { sim_.run_for(duration); }
-  void run_until(sim::SimTime deadline) { sim_.run_until(deadline); }
+  void run_for(sim::SimTime duration) { world_.sim.run_for(duration); }
+  void run_until(sim::SimTime deadline) { world_.sim.run_until(deadline); }
 
  private:
   void adopt(device::DeviceId host, std::unique_ptr<net::Node> node);
   void install_link_model();
 
   SystemConfig cfg_;
-  sim::Simulation sim_;
-  obs::MetricsRegistry metrics_;
-  obs::Tracer tracer_;
-  sim::TraceLog trace_;
-  net::Network network_;
+  net::World world_;
   device::Registry registry_;
   sim::FaultInjector faults_;
   device::EnergyManager energy_;

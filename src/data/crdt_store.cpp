@@ -103,7 +103,6 @@ void CrdtStore::on_recover() {
   // CRDT state is durable in spirit (devices persist their replicas); we
   // model a diskless restart: state re-hydrates from peers' next syncs,
   // and writes in this life go under a fresh replica_id().
-  ++boot_count_;
   objects_.clear();
   every(cfg_.sync_interval, [this] { round(); });
 }

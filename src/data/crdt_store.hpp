@@ -53,12 +53,12 @@ class CrdtStore : public net::Node {
 
   void set_replicas(std::vector<net::NodeId> replicas);  // peers, not self
 
-  /// This incarnation's identity in merge state: the boot count in the
-  /// high half, the node id in the low half. A diskless restart forgets
+  /// This incarnation's identity in merge state: Node::incarnation() in
+  /// the high half, the node id in the low half. A diskless restart forgets
   /// the replica's own counts and tag counters, so a new life writes under
   /// a new id instead of reusing entries its peers already hold.
   [[nodiscard]] ReplicaId replica_id() const {
-    return (ReplicaId{boot_count_} << 32) | id().value;
+    return (ReplicaId{incarnation()} << 32) | id().value;
   }
 
   /// Typed access; creates the object on first use. Throws on type
@@ -112,9 +112,6 @@ class CrdtStore : public net::Node {
 
   CrdtStoreConfig cfg_;
   sim::Rng rng_;
-  // Bumped on every recovery and NOT cleared with the objects: the small
-  // persistent boot count real devices keep, as in GossipNode.
-  std::uint32_t boot_count_ = 0;
   std::vector<net::NodeId> replicas_;
   std::unordered_map<std::string, CrdtObject> objects_;
   std::function<void(const std::string&)> merged_cb_;

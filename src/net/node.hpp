@@ -53,6 +53,12 @@ class Node {
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] bool alive() const { return alive_; }
+  /// How many times this node has recovered. crash() and recover() each
+  /// bump the epoch and strictly alternate, so this is half the epoch
+  /// whether the node is up or down. Like the small boot count real
+  /// devices keep in stable storage, it survives crashes; protocols derive
+  /// the ids that order a node's lives from it.
+  [[nodiscard]] std::uint64_t incarnation() const { return epoch_ / 2; }
   /// The node's *local* clock: sim time plus any injected skew (see
   /// Network::set_clock_skew). Timestamps this node stamps (LWW writes,
   /// telemetry) wear the skew; timer rates are unaffected.

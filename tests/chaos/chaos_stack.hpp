@@ -22,7 +22,6 @@
 // agreement, CRDT/gossip convergence) compare settled states.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -33,6 +32,7 @@
 
 #include "adapt/chaos_checks.hpp"
 #include "adapt/mape.hpp"
+#include "chaos_run.hpp"
 #include "coord/chaos_checks.hpp"
 #include "coord/gossip.hpp"
 #include "coord/raft.hpp"
@@ -40,14 +40,7 @@
 #include "data/crdt_store.hpp"
 #include "membership/chaos_checks.hpp"
 #include "membership/swim.hpp"
-#include "net/network.hpp"
-#include "obs/chaos_export.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
-#include "sim/chaos.hpp"
-#include "sim/fault.hpp"
-#include "sim/simulation.hpp"
-#include "sim/trace.hpp"
+#include "net/chaos_hooks.hpp"
 
 namespace riot::chaos_test {
 
@@ -55,53 +48,30 @@ class ChaosStack {
  public:
   ChaosStack(const sim::chaos::ChaosSchedule& schedule,
              const sim::chaos::ChaosProfile& profile, std::size_t cells = 1)
-      : schedule_(schedule),
-        profile_(profile),
+      : chaos_(schedule, profile, 0x5eed5eed5eed5eedULL),
         n_(schedule.node_count != 0 ? schedule.node_count
                                     : profile.node_count),
-        cells_(cells == 0 || cells > n_ ? 1 : cells),
-        sim_(schedule.seed ^ 0x5eed5eed5eed5eedULL),
-        tracer_(sim_),
-        network_(sim_, metrics_, tracer_, trace_),
-        injector_(sim_, trace_) {
-    trace_.bind_clock(sim_);
+        cells_(cells == 0 || cells > n_ ? 1 : cells) {
     gossip_last_.resize(cells_);
     build_nodes();
     wire_hooks();
     register_invariants();
   }
 
-  /// Install the schedule, drive the workloads, run to horizon + cooldown,
-  /// then evaluate every invariant. Deterministic for a given schedule.
+  /// Run the schedule through the shared chaos loop (ChaosRun::run).
   sim::chaos::ChaosRunReport run() {
-    obs::tag_chaos_run(metrics_, schedule_);
-    sim::chaos::install_schedule(schedule_, injector_, hooks_);
-    injector_.arm();
-    start_workloads();
-
-    // Safety invariants are polled while the schedule executes; a hit ends
-    // the run early (the violation is already recorded).
-    sim_.schedule_every(sim::millis(500), [this] {
-      if (registry_.check_now(sim_.now(), report_.violations) > 0) {
-        sim_.request_stop();
-      }
-    });
-
-    const sim::SimTime end = schedule_horizon() + profile_.cooldown;
-    sim_.run_until(end);
-    registry_.check_final(sim_.now(), report_.violations);
-    obs::tag_invariant_stats(metrics_, registry_.stats());
-    report_.trace_hash = sim::chaos::trace_hash(trace_);
-    return report_;
+    return chaos_.run([this] { start_workloads(); });
   }
 
-  [[nodiscard]] sim::TraceLog& trace() { return trace_; }
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] const sim::Simulation& simulation() const { return sim_; }
+  [[nodiscard]] sim::TraceLog& trace() { return chaos_.trace; }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return chaos_.metrics; }
+  [[nodiscard]] const sim::Simulation& simulation() const {
+    return chaos_.sim;
+  }
   /// Open for scenario-specific extra invariants (e.g. a soak test's
   /// deliberately-violated canary); register before run().
   [[nodiscard]] sim::chaos::InvariantRegistry& registry() {
-    return registry_;
+    return chaos_.registry;
   }
   [[nodiscard]] std::size_t cells() const { return cells_; }
   [[nodiscard]] std::size_t node_count() const { return n_; }
@@ -131,21 +101,24 @@ class ChaosStack {
   void build_nodes() {
     for (std::size_t i = 0; i < n_; ++i) {
       storages_.push_back(std::make_unique<coord::RaftStorage>());
-      rafts_.push_back(
-          std::make_unique<coord::RaftPeer>(network_, *storages_.back()));
+      rafts_.push_back(std::make_unique<coord::RaftPeer>(chaos_.network,
+                                                         *storages_.back()));
       // At soak scale a refutation must ride enough piggyback slots to
       // outrun 199 members' worth of concurrent updates; the default 6
       // slots are tuned for small meshes.
       membership::SwimConfig swim_cfg;
       if (n_ > 50) swim_cfg.max_piggyback = 16;
       swims_.push_back(
-          std::make_unique<membership::SwimMember>(network_, swim_cfg));
-      crdts_.push_back(std::make_unique<data::CrdtStore>(network_));
-      gossips_.push_back(std::make_unique<coord::GossipNode>(network_));
+          std::make_unique<membership::SwimMember>(chaos_.network, swim_cfg));
+      crdts_.push_back(std::make_unique<data::CrdtStore>(chaos_.network));
+      gossips_.push_back(std::make_unique<coord::GossipNode>(chaos_.network));
       telemetry_.push_back(std::make_unique<adapt::TelemetrySource>(
-          network_, net::kInvalidNode));
+          chaos_.network, net::kInvalidNode));
+      // A chaos action on logical node i fans out to these, in this order.
+      endpoints_.push_back({rafts_[i].get(), swims_[i].get(), crdts_[i].get(),
+                            gossips_[i].get(), telemetry_[i].get()});
     }
-    loop_ = std::make_unique<adapt::MapeLoop>(network_);
+    loop_ = std::make_unique<adapt::MapeLoop>(chaos_.network);
 
     // Per-cell Raft groups and CRDT replica sets.
     raft_checkers_.resize(cells_);
@@ -216,118 +189,72 @@ class ChaosStack {
   }
 
   void wire_hooks() {
-    hooks_.crash_node = [this](std::uint32_t i) {
-      for (net::Node* node : logical_node(i)) node->crash();
-    };
-    hooks_.restart_node = [this](std::uint32_t i) {
-      for (net::Node* node : logical_node(i)) node->recover();
-      // An owner that reboots republishes the key it owns, regenerated
-      // from its source (the workload's intent), not from the wiped store.
-      // Without this, a final pre-crash put that never survived a gossip
-      // round dies with the origin and no amount of anti-entropy can
-      // produce it — the convergence expectation would be unmeetable.
-      const std::size_t per = n_ / cells_;
-      if (i % per == 0 && i / per < cells_ &&
-          !gossip_last_[i / per].empty()) {
-        const std::size_t c = i / per;
-        gossips_[i]->put("cell" + std::to_string(c), gossip_last_[c]);
-      }
-    };
-    hooks_.partition = [this](const std::vector<std::uint32_t>& group_a) {
-      std::vector<net::NodeId> side;
-      for (std::uint32_t i : group_a) {
-        for (net::Node* node : logical_node(i)) side.push_back(node->id());
-      }
-      network_.partition({side});
-    };
-    hooks_.heal = [this] { network_.heal_partition(); };
-    hooks_.isolate = [this](std::uint32_t i) {
-      for (net::Node* node : logical_node(i)) network_.isolate(node->id());
-    };
-    hooks_.unisolate = [this](std::uint32_t i) {
-      for (net::Node* node : logical_node(i)) network_.unisolate(node->id());
-    };
-    hooks_.ambient_loss = [this](double p) { network_.set_ambient_loss(p); };
-    hooks_.latency_factor = [this](double f) {
-      network_.set_latency_factor(f);
-    };
-    hooks_.duplicate = [this](double p) {
-      network_.set_duplicate_probability(p);
-    };
-    hooks_.clock_skew = [this](std::uint32_t i, sim::SimTime skew) {
-      for (net::Node* node : logical_node(i)) {
-        network_.set_clock_skew(node->id(), skew);
-      }
-    };
-    // Byzantine behaviours fan out like the crash-fault ones: a lying
-    // logical node lies on every co-located endpoint. Tainted messages
-    // only matter to verification-aware receivers (the trust scenario);
-    // for the crash-fault protocols here falsify is payload-preserving,
-    // while selective drop and delay inflation compose like loss/latency.
-    hooks_.falsify = [this](std::uint32_t i, double p) {
-      for (net::Node* node : logical_node(i)) {
-        network_.set_falsify(node->id(), p);
-      }
-    };
-    hooks_.selective_drop = [this](std::uint32_t i, double p) {
-      for (net::Node* node : logical_node(i)) {
-        network_.set_selective_drop(node->id(), p);
-      }
-    };
-    hooks_.delay_inflate = [this](std::uint32_t i, double f) {
-      for (net::Node* node : logical_node(i)) {
-        network_.set_delay_inflation(node->id(), f);
-      }
-    };
+    chaos_.hooks = net::chaos_hooks_for(chaos_.network, endpoints_);
+    // An owner that reboots republishes the key it owns, regenerated from
+    // its source (the workload's intent), not from the wiped store.
+    // Without this, a final pre-crash put that never survived a gossip
+    // round dies with the origin and no amount of anti-entropy can produce
+    // it — the convergence expectation would be unmeetable. The wrapper
+    // captures only `this`, so copying the hooks still allocates nothing.
+    restart_endpoints_ = std::exchange(
+        chaos_.hooks.restart_node, [this](std::uint32_t i) {
+          restart_endpoints_(i);
+          const std::size_t per = n_ / cells_;
+          if (i % per == 0 && i / per < cells_ &&
+              !gossip_last_[i / per].empty()) {
+            const std::size_t c = i / per;
+            gossips_[i]->put("cell" + std::to_string(c), gossip_last_[c]);
+          }
+        });
   }
 
   void register_invariants() {
     // -- Safety (checked while the schedule runs) --------------------------
-    registry_.add_always("raft_election_safety", [this] {
+    chaos_.registry.add_always("raft_election_safety", [this] {
       return election_safety_.check();
     });
-    registry_.add_always("raft_sm_safety", [this] {
+    chaos_.registry.add_always("raft_sm_safety", [this] {
       return per_cell([](const coord::chaos::RaftGroupChecker& g) {
         return g.sm_safety();
       });
     });
 
     // -- Convergence (meaningful only after the quiescent cooldown) --------
-    registry_.add_eventually("raft_leader_agreement", [this] {
+    chaos_.registry.add_eventually("raft_leader_agreement", [this] {
       return per_cell([](const coord::chaos::RaftGroupChecker& g) {
         return g.leader_agreement();
       });
     });
-    registry_.add_eventually("raft_log_agreement", [this] {
+    chaos_.registry.add_eventually("raft_log_agreement", [this] {
       return per_cell([](const coord::chaos::RaftGroupChecker& g) {
         return g.log_agreement();
       });
     });
-    registry_.add_eventually("raft_no_lost_acked_writes", [this] {
+    chaos_.registry.add_eventually("raft_no_lost_acked_writes", [this] {
       return per_cell([](const coord::chaos::RaftGroupChecker& g) {
         return g.no_lost_acked();
       });
     });
-    registry_.add_eventually("swim_membership_convergence", [this] {
+    chaos_.registry.add_eventually("swim_membership_convergence", [this] {
       return swim_checker_.check();
     });
-    registry_.add_eventually("crdt_convergence", [this] {
+    chaos_.registry.add_eventually("crdt_convergence", [this] {
       return crdt_checker_.check();
     });
-    registry_.add_eventually("gossip_convergence", [this] {
+    chaos_.registry.add_eventually("gossip_convergence", [this] {
       return gossip_checker_.check();
     });
-    registry_.add_eventually("mape_loop_live", [this] {
-      return mape_checker_.loop_live(sim_.now(), sim::seconds(2));
+    chaos_.registry.add_eventually("mape_loop_live", [this] {
+      return mape_checker_.loop_live(chaos_.sim.now(), sim::seconds(2));
     });
-    registry_.add_eventually("mape_quiescent", [this] {
+    chaos_.registry.add_eventually("mape_quiescent", [this] {
       return mape_checker_.quiescent();
     });
-    registry_.add_eventually("mape_detection_to_recovery", [this] {
+    chaos_.registry.add_eventually("mape_detection_to_recovery", [this] {
       // A violation detected mid-fault must clear within one worst-case
       // window plus settling slack once the fault reverts.
       return mape_checker_.recovered_within(
-          profile_.max_duration + sim::seconds(10), sim_.now());
+          chaos_.profile.max_duration + sim::seconds(10), chaos_.sim.now());
     });
   }
 
@@ -344,8 +271,8 @@ class ChaosStack {
     // Raft clients: per cell, one proposal per tick to whichever peer
     // claims leadership; proposals that land on a deposed leader may be
     // lost — only majority-applied ("acked") commands must survive.
-    sim_.schedule_every(sim::millis(250), [this] {
-      if (sim_.now() >= schedule_horizon()) return;
+    chaos_.sim.schedule_every(sim::millis(250), [this] {
+      if (chaos_.sim.now() >= chaos_.horizon()) return;
       for (std::size_t c = 0; c < cells_; ++c) {
         for (std::size_t i = cell_begin(c); i < cell_end(c); ++i) {
           if (rafts_[i]->alive() && rafts_[i]->is_leader()) {
@@ -358,8 +285,8 @@ class ChaosStack {
     });
 
     // CRDT clients: every alive replica keeps mutating shared objects.
-    sim_.schedule_every(sim::millis(400), [this] {
-      if (sim_.now() >= schedule_horizon()) return;
+    chaos_.sim.schedule_every(sim::millis(400), [this] {
+      if (chaos_.sim.now() >= chaos_.horizon()) return;
       for (std::size_t i = 0; i < n_; ++i) {
         if (!crdts_[i]->alive()) continue;
         data::CrdtStore& store = *crdts_[i];
@@ -375,8 +302,8 @@ class ChaosStack {
     // Gossip writers: one origin per cell owns one key (single-origin
     // versioning keeps "latest value" well-defined); the checker expects
     // whatever value the origin last actually wrote.
-    sim_.schedule_every(sim::millis(600), [this] {
-      if (sim_.now() >= schedule_horizon()) return;
+    chaos_.sim.schedule_every(sim::millis(600), [this] {
+      if (chaos_.sim.now() >= chaos_.horizon()) return;
       for (std::size_t c = 0; c < cells_; ++c) {
         coord::GossipNode& origin = *gossips_[cell_begin(c)];
         if (!origin.alive()) continue;
@@ -410,32 +337,13 @@ class ChaosStack {
   [[nodiscard]] std::size_t cell_end(std::size_t c) const {
     return c + 1 == cells_ ? n_ : (c + 1) * (n_ / cells_);
   }
-  [[nodiscard]] sim::SimTime schedule_horizon() const {
-    return schedule_.horizon != sim::kSimTimeZero ? schedule_.horizon
-                                                  : profile_.horizon;
-  }
   [[nodiscard]] sim::SimTime loop_now() const {
-    return sim_.now() + network_.clock_skew(loop_->id());
-  }
-  [[nodiscard]] std::array<net::Node*, 5> logical_node(std::uint32_t i) {
-    return {rafts_[i].get(), swims_[i].get(), crdts_[i].get(),
-            gossips_[i].get(), telemetry_[i].get()};
+    return chaos_.sim.now() + chaos_.network.clock_skew(loop_->id());
   }
 
-  sim::chaos::ChaosSchedule schedule_;
-  sim::chaos::ChaosProfile profile_;
+  ChaosRun chaos_;
   std::size_t n_;
   std::size_t cells_;
-
-  sim::Simulation sim_;
-  obs::MetricsRegistry metrics_;
-  obs::Tracer tracer_;
-  sim::TraceLog trace_;
-  net::Network network_;
-  sim::FaultInjector injector_;
-  sim::chaos::ChaosHooks hooks_;
-  sim::chaos::InvariantRegistry registry_;
-  sim::chaos::ChaosRunReport report_;
 
   std::vector<std::unique_ptr<coord::RaftStorage>> storages_;
   std::vector<std::unique_ptr<coord::RaftPeer>> rafts_;
@@ -444,9 +352,12 @@ class ChaosStack {
   std::vector<std::unique_ptr<coord::GossipNode>> gossips_;
   std::vector<std::unique_ptr<adapt::TelemetrySource>> telemetry_;
   std::unique_ptr<adapt::MapeLoop> loop_;
+  net::LogicalNodes endpoints_;
+  // The helper's restart hook, wrapped by wire_hooks().
+  std::function<void(std::uint32_t)> restart_endpoints_;
 
   // Checker library instances (src/*/chaos_checks.hpp).
-  coord::chaos::ElectionSafetyChecker election_safety_{trace_};
+  coord::chaos::ElectionSafetyChecker election_safety_{chaos_.trace};
   std::vector<coord::chaos::RaftGroupChecker> raft_checkers_;
   membership::chaos::SwimConvergenceChecker swim_checker_;
   data::chaos::CrdtConvergenceChecker crdt_checker_;

@@ -35,16 +35,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/network.hpp"
+#include "chaos_run.hpp"
+#include "net/chaos_hooks.hpp"
 #include "net/node.hpp"
 #include "net/rpc.hpp"
-#include "obs/chaos_export.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
-#include "sim/chaos.hpp"
-#include "sim/fault.hpp"
-#include "sim/simulation.hpp"
-#include "sim/trace.hpp"
 
 namespace riot::chaos_test {
 
@@ -70,40 +64,21 @@ class RpcChaosStack {
 
   RpcChaosStack(const sim::chaos::ChaosSchedule& schedule,
                 const sim::chaos::ChaosProfile& profile, Config config)
-      : schedule_(schedule),
-        profile_(profile),
-        config_(config),
-        sim_(schedule.seed ^ 0xc0ffee11c0ffee11ULL),
-        tracer_(sim_),
-        network_(sim_, metrics_, tracer_, trace_),
-        injector_(sim_, trace_) {
-    trace_.bind_clock(sim_);
+      : chaos_(schedule, profile, 0xc0ffee11c0ffee11ULL), config_(config) {
     build();
-    wire_hooks();
+    // Chaos targets map to *servers*: clients keep their group-0 seats and
+    // keep generating traffic into the disrupted side, which is what
+    // exercises timeouts, retries, dedup and the breakers.
+    chaos_.hooks = net::chaos_hooks_for(chaos_.network, targets_);
     register_invariants();
   }
 
   sim::chaos::ChaosRunReport run() {
-    obs::tag_chaos_run(metrics_, schedule_);
-    sim::chaos::install_schedule(schedule_, injector_, hooks_);
-    injector_.arm();
-    start_workload();
-
-    sim_.schedule_every(sim::millis(500), [this] {
-      if (registry_.check_now(sim_.now(), report_.violations) > 0) {
-        sim_.request_stop();
-      }
-    });
-
-    const sim::SimTime end = schedule_horizon() + profile_.cooldown;
-    sim_.run_until(end);
-    registry_.check_final(sim_.now(), report_.violations);
-    report_.trace_hash = sim::chaos::trace_hash(trace_);
-    return report_;
+    return chaos_.run([this] { start_workload(); });
   }
 
-  [[nodiscard]] sim::TraceLog& trace() { return trace_; }
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
+  [[nodiscard]] sim::TraceLog& trace() { return chaos_.trace; }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return chaos_.metrics; }
   [[nodiscard]] std::uint64_t total_calls() const { return total_calls_; }
   [[nodiscard]] std::uint64_t total_successes() const {
     return total_successes_;
@@ -136,7 +111,7 @@ class RpcChaosStack {
 
   void build() {
     for (std::size_t c = 0; c < config_.clusters; ++c) {
-      auto server = std::make_unique<Host>(network_);
+      auto server = std::make_unique<Host>(chaos_.network);
       server->rpc.set_dedup_capacity(config_.dedup_capacity);
       server->rpc.serve<WorkReq, WorkResp>(
           [](net::NodeId, const WorkReq& req) {
@@ -155,12 +130,13 @@ class RpcChaosStack {
                   std::to_string(caller.value) + " twice";
             }
           });
+      targets_.push_back({server.get()});
       servers_.push_back(std::move(server));
     }
     for (std::size_t c = 0; c < config_.clusters; ++c) {
       for (std::size_t k = 0; k < config_.clients_per_cluster; ++k) {
         Client client;
-        client.host = std::make_unique<Host>(network_);
+        client.host = std::make_unique<Host>(chaos_.network);
         client.host->rpc.set_breaker(
             net::BreakerConfig{.window = 8,
                                .min_samples = 4,
@@ -172,50 +148,12 @@ class RpcChaosStack {
     }
   }
 
-  void wire_hooks() {
-    // Chaos targets map to *servers*: clients keep their group-0 seats and
-    // keep generating traffic into the disrupted side, which is what
-    // exercises timeouts, retries, dedup and the breakers.
-    hooks_.crash_node = [this](std::uint32_t i) {
-      if (i < servers_.size()) servers_[i]->crash();
-    };
-    hooks_.restart_node = [this](std::uint32_t i) {
-      if (i < servers_.size()) servers_[i]->recover();
-    };
-    hooks_.partition = [this](const std::vector<std::uint32_t>& group_a) {
-      std::vector<net::NodeId> side;
-      for (std::uint32_t i : group_a) {
-        if (i < servers_.size()) side.push_back(servers_[i]->id());
-      }
-      network_.partition({side});
-    };
-    hooks_.heal = [this] { network_.heal_partition(); };
-    hooks_.isolate = [this](std::uint32_t i) {
-      if (i < servers_.size()) network_.isolate(servers_[i]->id());
-    };
-    hooks_.unisolate = [this](std::uint32_t i) {
-      if (i < servers_.size()) network_.unisolate(servers_[i]->id());
-    };
-    hooks_.ambient_loss = [this](double p) { network_.set_ambient_loss(p); };
-    hooks_.latency_factor = [this](double f) {
-      network_.set_latency_factor(f);
-    };
-    hooks_.duplicate = [this](double p) {
-      network_.set_duplicate_probability(p);
-    };
-    hooks_.clock_skew = [this](std::uint32_t i, sim::SimTime skew) {
-      if (i < servers_.size()) {
-        network_.set_clock_skew(servers_[i]->id(), skew);
-      }
-    };
-  }
-
   void register_invariants() {
-    registry_.add_always("rpc_no_duplicate_execution",
-                         [this] { return duplicate_execution_; });
-    registry_.add_always("rpc_response_integrity",
-                         [this] { return wrong_response_; });
-    registry_.add_eventually(
+    chaos_.registry.add_always("rpc_no_duplicate_execution",
+                               [this] { return duplicate_execution_; });
+    chaos_.registry.add_always("rpc_response_integrity",
+                               [this] { return wrong_response_; });
+    chaos_.registry.add_eventually(
         "rpc_breaker_closes_after_heal",
         [this]() -> std::optional<std::string> {
           for (std::size_t i = 0; i < clients_.size(); ++i) {
@@ -228,10 +166,10 @@ class RpcChaosStack {
           }
           return std::nullopt;
         });
-    registry_.add_eventually(
+    chaos_.registry.add_eventually(
         "rpc_progress_after_heal", [this]() -> std::optional<std::string> {
           for (std::size_t i = 0; i < clients_.size(); ++i) {
-            if (clients_[i].last_success_at < schedule_horizon()) {
+            if (clients_[i].last_success_at < chaos_.horizon()) {
               return "client " + std::to_string(i) +
                      " made no successful call during the cooldown";
             }
@@ -250,8 +188,9 @@ class RpcChaosStack {
     for (std::size_t i = 0; i < clients_.size(); ++i) {
       const sim::SimTime offset =
           sim::millis((static_cast<std::int64_t>(i) * 17) % period_ms);
-      sim_.schedule_after(offset, [this, i] {
-        sim_.schedule_every(config_.call_period, [this, i] { tick(i); });
+      chaos_.sim.schedule_after(offset, [this, i] {
+        chaos_.sim.schedule_every(config_.call_period,
+                                  [this, i] { tick(i); });
       });
     }
   }
@@ -278,30 +217,15 @@ class RpcChaosStack {
           }
           ++client.successes;
           ++total_successes_;
-          client.last_success_at = sim_.now();
+          client.last_success_at = chaos_.sim.now();
         });
   }
 
-  [[nodiscard]] sim::SimTime schedule_horizon() const {
-    return schedule_.horizon != sim::kSimTimeZero ? schedule_.horizon
-                                                  : profile_.horizon;
-  }
-
-  sim::chaos::ChaosSchedule schedule_;
-  sim::chaos::ChaosProfile profile_;
+  ChaosRun chaos_;
   Config config_;
 
-  sim::Simulation sim_;
-  obs::MetricsRegistry metrics_;
-  obs::Tracer tracer_;
-  sim::TraceLog trace_;
-  net::Network network_;
-  sim::FaultInjector injector_;
-  sim::chaos::ChaosHooks hooks_;
-  sim::chaos::InvariantRegistry registry_;
-  sim::chaos::ChaosRunReport report_;
-
   std::vector<std::unique_ptr<Host>> servers_;
+  net::LogicalNodes targets_;  // chaos logical node i = {server i}
   std::vector<Client> clients_;
   std::unordered_map<std::uint64_t, std::uint32_t> executions_;
   std::optional<std::string> duplicate_execution_;

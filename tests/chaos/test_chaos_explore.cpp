@@ -15,11 +15,10 @@
 #include <vector>
 
 #include "chaos_env.hpp"
+#include "chaos_run.hpp"
 #include "chaos_stack.hpp"
-#include "net/network.hpp"
+#include "net/chaos_hooks.hpp"
 #include "net/node.hpp"
-#include "obs/chaos_export.hpp"
-#include "sim/chaos.hpp"
 
 namespace riot::chaos_test {
 namespace {
@@ -121,67 +120,25 @@ ChaosProfile kv_profile() {
 /// logical node 0, replicas on 1..n-1, a writer acking every 300 ms.
 ChaosRunReport run_broken_kv(const ChaosSchedule& schedule,
                              const ChaosProfile& profile) {
-  sim::Simulation sim(schedule.seed ^ 0x5eed5eed5eed5eedULL);
-  obs::MetricsRegistry metrics;
-  obs::Tracer tracer(sim);
-  sim::TraceLog trace;
-  trace.bind_clock(sim);
-  net::Network network(sim, metrics, tracer, trace);
-  sim::FaultInjector injector(sim, trace);
+  ChaosRun chaos(schedule, profile, 0x5eed5eed5eed5eedULL);
 
   const std::size_t n = schedule.node_count != 0 ? schedule.node_count : 3;
   std::vector<std::unique_ptr<BrokenKvReplica>> replicas;
   for (std::size_t i = 1; i < n; ++i) {
-    replicas.push_back(std::make_unique<BrokenKvReplica>(network));
+    replicas.push_back(std::make_unique<BrokenKvReplica>(chaos.network));
   }
   std::vector<BrokenKvReplica*> replica_ptrs;
   for (auto& r : replicas) replica_ptrs.push_back(r.get());
-  BrokenKvPrimary primary(network, replica_ptrs);
+  BrokenKvPrimary primary(chaos.network, replica_ptrs);
 
-  // Logical node i == the i-th constructed endpoint (replica i lives at
-  // endpoint i-1, the primary last).
-  auto endpoint = [&](std::uint32_t i) -> net::Node& {
-    if (i == 0) return primary;
-    return *replicas[i - 1];
-  };
-  ChaosHooks hooks;
-  hooks.crash_node = [&](std::uint32_t i) { endpoint(i).crash(); };
-  hooks.restart_node = [&](std::uint32_t i) { endpoint(i).recover(); };
-  hooks.partition = [&](const std::vector<std::uint32_t>& group) {
-    std::vector<net::NodeId> side;
-    for (std::uint32_t i : group) side.push_back(endpoint(i).id());
-    network.partition({side});
-  };
-  hooks.heal = [&] { network.heal_partition(); };
-  hooks.isolate = [&](std::uint32_t i) { network.isolate(endpoint(i).id()); };
-  hooks.unisolate = [&](std::uint32_t i) {
-    network.unisolate(endpoint(i).id());
-  };
-  hooks.ambient_loss = [&](double p) { network.set_ambient_loss(p); };
-  hooks.latency_factor = [&](double f) { network.set_latency_factor(f); };
-  hooks.duplicate = [&](double p) { network.set_duplicate_probability(p); };
-  hooks.clock_skew = [&](std::uint32_t i, sim::SimTime skew) {
-    network.set_clock_skew(endpoint(i).id(), skew);
-  };
-  install_schedule(schedule, injector, hooks);
-  injector.arm();
-  primary.start();
-  for (auto& r : replicas) r->start();
+  // Logical node 0 is the primary, logical node i the i-th replica.
+  net::LogicalNodes nodes{{&primary}};
+  for (BrokenKvReplica* r : replica_ptrs) nodes.push_back({r});
+  chaos.hooks = net::chaos_hooks_for(chaos.network, nodes);
 
   std::set<std::uint64_t> acked;
-  std::uint64_t next_seq = 0;
-  const sim::SimTime horizon =
-      schedule.horizon != sim::kSimTimeZero ? schedule.horizon
-                                            : profile.horizon;
-  sim.schedule_every(sim::millis(300), [&] {
-    if (sim.now() >= horizon) return;
-    const std::uint64_t seq = next_seq++;
-    if (primary.write(seq, "v" + std::to_string(seq))) acked.insert(seq);
-  });
-
-  InvariantRegistry registry;
-  registry.add_eventually("kv_no_lost_acked_writes",
-                          [&]() -> std::optional<std::string> {
+  chaos.registry.add_eventually("kv_no_lost_acked_writes",
+                                [&]() -> std::optional<std::string> {
     for (const std::uint64_t seq : acked) {
       if (!primary.has(seq)) {
         return "acked write " + std::to_string(seq) + " lost at primary";
@@ -196,11 +153,16 @@ ChaosRunReport run_broken_kv(const ChaosSchedule& schedule,
     return std::nullopt;
   });
 
-  ChaosRunReport report;
-  sim.run_until(horizon + profile.cooldown);
-  registry.check_final(sim.now(), report.violations);
-  report.trace_hash = trace_hash(trace);
-  return report;
+  std::uint64_t next_seq = 0;
+  return chaos.run([&] {
+    primary.start();
+    for (auto& r : replicas) r->start();
+    chaos.sim.schedule_every(sim::millis(300), [&] {
+      if (chaos.sim.now() >= chaos.horizon()) return;
+      const std::uint64_t seq = next_seq++;
+      if (primary.write(seq, "v" + std::to_string(seq))) acked.insert(seq);
+    });
+  });
 }
 
 TEST(ChaosSeededBug, ExplorerFindsShrinksAndReplays) {

@@ -87,6 +87,17 @@ TEST(RpcChaosSmoke, BreakerMetricsFlowDuringCrashWindows) {
             0u);
 }
 
+TEST(RpcChaosSmoke, RunsExportInvariantStats) {
+  const ChaosProfile profile = rpc_smoke_profile();
+  RpcChaosStack stack(generate_schedule(31, profile), profile);
+  stack.run();
+  EXPECT_GT(stack.metrics().counter_value(
+                "riot_chaos_invariant_checks_total",
+                {{"invariant", "rpc_no_duplicate_execution"},
+                 {"mode", "always"}}),
+            0u);
+}
+
 TEST(RpcChaosSmoke, SameScheduleSameTraceHash) {
   const ChaosProfile profile = rpc_smoke_profile();
   const ChaosSchedule schedule = generate_schedule(31, profile);

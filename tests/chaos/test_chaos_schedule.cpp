@@ -7,10 +7,9 @@
 #include <string>
 #include <vector>
 
-#include "net/network.hpp"
+#include "net/world.hpp"
 #include "obs/chaos_export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 
 namespace riot::sim::chaos {
 namespace {
@@ -472,11 +471,8 @@ TEST_F(InstallFixture, HealPrecedesRestartAtSameInstant) {
 // must be back in its home state — every node up, every pair mutually
 // reachable, no group or isolation leftovers ("home-group consistency").
 TEST(ChaosInstallNetwork, HomeGroupConsistencyAfterComposedRevert) {
-  Simulation sim(11);
-  obs::MetricsRegistry metrics;
-  obs::Tracer tracer(sim);
-  TraceLog trace;
-  net::Network network(sim, metrics, tracer, trace);
+  net::World world(11);
+  auto& [sim, metrics, tracer, trace, network] = world;
   FaultInjector injector(sim, trace);
 
   std::vector<net::NodeId> ids;

@@ -41,16 +41,10 @@
 #include <string>
 #include <vector>
 
-#include "net/network.hpp"
+#include "chaos_run.hpp"
+#include "net/chaos_hooks.hpp"
 #include "net/node.hpp"
 #include "net/rpc.hpp"
-#include "obs/chaos_export.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
-#include "sim/chaos.hpp"
-#include "sim/fault.hpp"
-#include "sim/simulation.hpp"
-#include "sim/trace.hpp"
 #include "trust/chaos_checks.hpp"
 #include "trust/trust.hpp"
 
@@ -78,43 +72,22 @@ class TrustChaosStack {
 
   TrustChaosStack(const sim::chaos::ChaosSchedule& schedule,
                   const sim::chaos::ChaosProfile& profile, Config config)
-      : schedule_(schedule),
-        profile_(profile),
+      : chaos_(schedule, profile, 0x7bad7bad7bad7badULL),
         config_(config),
-        sim_(schedule.seed ^ 0x7bad7bad7bad7badULL),
-        tracer_(sim_),
-        network_(sim_, metrics_, tracer_, trace_),
-        injector_(sim_, trace_),
-        store_(sim_, metrics_, trace_, config.trust),
+        store_(chaos_.sim, chaos_.metrics, chaos_.trace, config.trust),
         checker_(store_) {
-    trace_.bind_clock(sim_);
     build();
-    wire_hooks();
+    // Chaos targets map to edge workers; dispatchers stay honest and up.
+    chaos_.hooks = net::chaos_hooks_for(chaos_.network, targets_);
     register_invariants();
   }
 
   sim::chaos::ChaosRunReport run() {
-    obs::tag_chaos_run(metrics_, schedule_);
-    sim::chaos::install_schedule(schedule_, injector_, hooks_);
-    injector_.arm();
-    start_workload();
-
-    sim_.schedule_every(sim::millis(500), [this] {
-      if (registry_.check_now(sim_.now(), report_.violations) > 0) {
-        sim_.request_stop();
-      }
-    });
-
-    const sim::SimTime end = schedule_horizon() + profile_.cooldown;
-    sim_.run_until(end);
-    registry_.check_final(sim_.now(), report_.violations);
-    obs::tag_invariant_stats(metrics_, registry_.stats());
-    report_.trace_hash = sim::chaos::trace_hash(trace_);
-    return report_;
+    return chaos_.run([this] { start_workload(); });
   }
 
-  [[nodiscard]] sim::TraceLog& trace() { return trace_; }
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
+  [[nodiscard]] sim::TraceLog& trace() { return chaos_.trace; }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return chaos_.metrics; }
   [[nodiscard]] trust::TrustStore& store() { return store_; }
   [[nodiscard]] const trust::chaos::QuarantineChecker& checker() const {
     return checker_;
@@ -191,16 +164,17 @@ class TrustChaosStack {
 
   void build() {
     for (std::size_t i = 0; i < config_.edges; ++i) {
-      auto edge = std::make_unique<Host>(network_);
+      auto edge = std::make_unique<Host>(chaos_.network);
       edge->rpc.serve<WorkReq, WorkResp>([](net::NodeId, const WorkReq& req) {
         return WorkResp{req.value * 2 + 1};
       });
+      targets_.push_back({edge.get()});
       edges_.push_back(std::move(edge));
     }
     const std::size_t shard = config_.edges / config_.dispatchers;
     for (std::size_t d = 0; d < config_.dispatchers; ++d) {
       Dispatcher dispatcher;
-      dispatcher.host = std::make_unique<Host>(network_);
+      dispatcher.host = std::make_unique<Host>(chaos_.network);
       dispatcher.host->rpc.set_breaker(
           net::BreakerConfig{.window = 8,
                              .min_samples = 4,
@@ -214,36 +188,11 @@ class TrustChaosStack {
     }
   }
 
-  void wire_hooks() {
-    // Chaos targets map to edge workers; dispatchers stay honest and up.
-    hooks_.crash_node = [this](std::uint32_t i) {
-      if (i < edges_.size()) edges_[i]->crash();
-    };
-    hooks_.restart_node = [this](std::uint32_t i) {
-      if (i < edges_.size()) edges_[i]->recover();
-    };
-    hooks_.falsify = [this](std::uint32_t i, double p) {
-      if (i < edges_.size()) network_.set_falsify(edges_[i]->id(), p);
-    };
-    hooks_.selective_drop = [this](std::uint32_t i, double p) {
-      if (i < edges_.size()) network_.set_selective_drop(edges_[i]->id(), p);
-    };
-    hooks_.delay_inflate = [this](std::uint32_t i, double f) {
-      if (i < edges_.size()) {
-        network_.set_delay_inflation(edges_[i]->id(), f);
-      }
-    };
-    hooks_.ambient_loss = [this](double p) { network_.set_ambient_loss(p); };
-    hooks_.latency_factor = [this](double f) {
-      network_.set_latency_factor(f);
-    };
-  }
-
   void register_invariants() {
-    registry_.add_eventually("trust_adversaries_quarantined", [this] {
+    chaos_.registry.add_eventually("trust_adversaries_quarantined", [this] {
       return checker_.check_adversaries_quarantined();
     });
-    registry_.add_eventually("trust_honest_clear", [this] {
+    chaos_.registry.add_eventually("trust_honest_clear", [this] {
       return checker_.check_honest_clear();
     });
   }
@@ -255,8 +204,9 @@ class TrustChaosStack {
     for (std::size_t d = 0; d < dispatchers_.size(); ++d) {
       const sim::SimTime offset =
           sim::millis((static_cast<std::int64_t>(d) * 13) % period_ms);
-      sim_.schedule_after(offset, [this, d] {
-        sim_.schedule_every(config_.call_period, [this, d] { tick(d); });
+      chaos_.sim.schedule_after(offset, [this, d] {
+        chaos_.sim.schedule_every(config_.call_period,
+                                  [this, d] { tick(d); });
       });
     }
   }
@@ -312,29 +262,14 @@ class TrustChaosStack {
         });
   }
 
-  [[nodiscard]] sim::SimTime schedule_horizon() const {
-    return schedule_.horizon != sim::kSimTimeZero ? schedule_.horizon
-                                                  : profile_.horizon;
-  }
-
-  sim::chaos::ChaosSchedule schedule_;
-  sim::chaos::ChaosProfile profile_;
+  ChaosRun chaos_;
   Config config_;
-
-  sim::Simulation sim_;
-  obs::MetricsRegistry metrics_;
-  obs::Tracer tracer_;
-  sim::TraceLog trace_;
-  net::Network network_;
-  sim::FaultInjector injector_;
-  sim::chaos::ChaosHooks hooks_;
-  sim::chaos::InvariantRegistry registry_;
-  sim::chaos::ChaosRunReport report_;
 
   trust::TrustStore store_;
   trust::chaos::QuarantineChecker checker_;
 
   std::vector<std::unique_ptr<Host>> edges_;
+  net::LogicalNodes targets_;  // chaos logical node i = {edge i}
   std::vector<Dispatcher> dispatchers_;
   std::uint64_t next_value_ = 0;
   std::uint64_t total_calls_ = 0;

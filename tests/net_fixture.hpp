@@ -3,40 +3,13 @@
 
 #include <gtest/gtest.h>
 
-#include "net/network.hpp"
 #include "net/node.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
-#include "sim/simulation.hpp"
-#include "sim/trace.hpp"
+#include "net/world.hpp"
 
 namespace riot::testing {
 
-struct NetFixture : ::testing::Test {
-  explicit NetFixture(std::uint64_t seed = 42)
-      : sim(seed), tracer(sim), network(sim, metrics, tracer, trace) {}
-
-  // --- fault-scenario helpers ----------------------------------------------
-
-  /// Cut `side` off from every other endpoint (they keep group 0).
-  void partition_away(const std::vector<net::NodeId>& side) {
-    network.partition({side});
-  }
-  void heal() { network.heal_partition(); }
-  void isolate_node(net::NodeId id) { network.isolate(id); }
-  void rejoin_node(net::NodeId id) { network.unisolate(id); }
-
-  /// Deliver an extra copy of each message with probability `p`
-  /// (at-least-once links; protocols under test must stay idempotent).
-  void enable_duplication(double p) {
-    network.set_duplicate_probability(p);
-  }
-
-  sim::Simulation sim;
-  obs::MetricsRegistry metrics;
-  obs::Tracer tracer;
-  sim::TraceLog trace;
-  net::Network network;
+struct NetFixture : ::testing::Test, net::World {
+  explicit NetFixture(std::uint64_t seed = 42) : net::World(seed) {}
 };
 
 /// Minimal concrete node that records everything it receives.

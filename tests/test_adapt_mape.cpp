@@ -1,5 +1,4 @@
 #include "adapt/mape.hpp"
-#include "adapt/patterns.hpp"
 #include "adapt/planner.hpp"
 
 #include <gtest/gtest.h>
@@ -223,24 +222,6 @@ TEST_F(MapeTest, ComponentRecordsTracked) {
   ASSERT_TRUE(record.has_value());
   EXPECT_FALSE(record->believed_healthy);
   EXPECT_FALSE(loop.knowledge().component("missing").has_value());
-}
-
-TEST_F(MapeTest, KnowledgeSharerPropagatesSummaries) {
-  MapeLoop a(network, sim::millis(100));
-  MapeLoop b(network, sim::millis(100));
-  a.start();
-  b.start();
-  a.knowledge().observe("load", Observation{.value = 0.8,
-                                            .sampled_at = sim.now()});
-  KnowledgeSharer sharer(a, {"load"}, sim::millis(200));
-  sharer.add_peer(b.id());
-  sharer.start();
-  sim.run_until(sim::seconds(1));
-  const std::string key = "peer." + std::to_string(a.id().value) + ".load";
-  const auto obs = b.knowledge().get(key);
-  ASSERT_TRUE(obs.has_value());
-  EXPECT_DOUBLE_EQ(obs->value, 0.8);
-  EXPECT_GT(sharer.shares_sent(), 0u);
 }
 
 TEST_F(MapeTest, GreedyPlannerPicksBestCandidate) {

@@ -90,6 +90,20 @@ TEST_F(GossipTest, CrashedNodeRehydratesAfterRecovery) {
   EXPECT_EQ(nodes[4]->get("c"), "3");
 }
 
+TEST_F(GossipTest, WriteAfterRecoveryBeatsPreCrashVersions) {
+  make_mesh(5);
+  for (const char* value : {"v1", "v2", "v3"}) nodes[0]->put("k", value);
+  sim.run_until(sim::seconds(10));
+  ASSERT_EQ(count_with("k", "v3"), 5);
+  // The crash wipes the writer's store, so its next put restarts the key
+  // at version 1; only the higher incarnation lets it beat version 3.
+  nodes[0]->crash();
+  nodes[0]->recover();
+  nodes[0]->put("k", "after");
+  sim.run_until(sim::seconds(25));
+  EXPECT_EQ(count_with("k", "after"), 5);
+}
+
 TEST_F(GossipTest, PartitionedGroupsConvergeAfterHeal) {
   make_mesh(6);
   std::vector<net::NodeId> left{nodes[0]->id(), nodes[1]->id(),

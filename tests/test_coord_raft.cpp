@@ -163,7 +163,7 @@ TEST_F(RaftTest, MinorityCannotElectFromDuplicatedVoteReplies) {
   // split-brain commits, and state machines applying different commands
   // at the same index (found by the 1k-endpoint chaos soak).
   make_cluster(5);
-  enable_duplication(1.0);
+  network.set_duplicate_probability(1.0);
   sim.run_until(sim::seconds(5));
   RaftPeer* l = leader();
   ASSERT_NE(l, nullptr);
@@ -273,7 +273,7 @@ TEST_F(RaftTest, IsolatedLeaderRejoinsWithStaleTerm) {
   make_cluster(5);
   // At-least-once links: Raft's RPCs must shrug off duplicated messages
   // while the leadership change plays out.
-  enable_duplication(0.2);
+  network.set_duplicate_probability(0.2);
   sim.run_until(sim::seconds(5));
   RaftPeer* old_leader = leader();
   ASSERT_NE(old_leader, nullptr);
@@ -281,7 +281,7 @@ TEST_F(RaftTest, IsolatedLeaderRejoinsWithStaleTerm) {
   sim.run_until(sim::seconds(6));
   const std::uint64_t stale_term = old_leader->current_term();
 
-  isolate_node(old_leader->id());
+  network.isolate(old_leader->id());
   sim.run_until(sim::seconds(12));
   // The isolated leader keeps believing in its stale term; the majority
   // moved past it.
@@ -296,7 +296,7 @@ TEST_F(RaftTest, IsolatedLeaderRejoinsWithStaleTerm) {
   ASSERT_TRUE(new_leader->propose("while-isolated").has_value());
   sim.run_until(sim::seconds(14));
 
-  rejoin_node(old_leader->id());
+  network.unisolate(old_leader->id());
   sim.run_until(sim::seconds(20));
   // Back in the majority's world the stale leader steps down, adopts the
   // higher term, and catches up on everything it missed.

@@ -108,7 +108,7 @@ TEST_F(CrdtStoreTest, ConvergesUnderDuplicationStorm) {
   // sync message twice must change nothing: counters don't double-count,
   // removes don't resurrect.
   make_replicas(4);
-  enable_duplication(0.5);
+  network.set_duplicate_probability(0.5);
   stores[0]->gcounter("hits").increment(stores[0]->replica_id(), 3);
   stores[1]->gcounter("hits").increment(stores[1]->replica_id(), 4);
   stores[2]->orset("devices").add("a", stores[2]->replica_id());
@@ -161,7 +161,7 @@ TEST_F(CrdtStoreTest, ConvergesUnderDuplicationPlusSkewAndCrash) {
   // form: duplicated syncs, skewed clocks on both writers, and a replica
   // that misses updates while crashed and rehydrates after recovery.
   make_replicas(4);
-  enable_duplication(0.4);
+  network.set_duplicate_probability(0.4);
   network.set_clock_skew(stores[1]->id(), sim::seconds(1));
   network.set_clock_skew(stores[2]->id(), -sim::seconds(1));
   stores[1]->lww("cfg").set("a", stores[1]->lww_now(),

@@ -135,10 +135,10 @@ TEST_F(SwimTest, SymmetricPartitionHealsAfterMutualDeath) {
   // partition heals.
   make_group(5);
   sim.run_until(sim::seconds(5));
-  partition_away({members[3]->id(), members[4]->id()});
+  network.partition({{members[3]->id(), members[4]->id()}});
   sim.run_until(sim::seconds(15));  // > suspect_timeout: verdicts mature
   ASSERT_GT(count_believing_dead(members[4]->id()), 0);
-  heal();
+  network.heal_partition();
   sim.run_until(sim::seconds(45));
   for (auto& m : members) {
     for (auto& peer : members) {

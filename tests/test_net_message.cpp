@@ -176,7 +176,7 @@ TEST_F(MessageDelivery, DuplicationCopiesCopyableSkipsMoveOnly) {
   };
   Receiver a(network);
   Receiver b(network);
-  enable_duplication(1.0);
+  network.set_duplicate_probability(1.0);
   a.send(b.id(), Tiny{1});
   a.send(b.id(), MoveOnly{std::make_unique<std::uint64_t>(1)});
   sim.run_until(sim::seconds(1));
@@ -204,11 +204,8 @@ TEST_F(MessageDelivery, UnknownKindIsObservable) {
 // flight-slab recycling) into observable behaviour.
 TEST(MessageDeterminism, SeedStableTraceHashAcrossRuns) {
   const auto run = [](std::uint64_t seed) {
-    sim::Simulation sim(seed);
-    obs::MetricsRegistry metrics;
-    obs::Tracer tracer(sim);
-    sim::TraceLog trace;
-    Network network(sim, metrics, tracer, trace);
+    World world(seed);
+    auto& [sim, metrics, tracer, trace, network] = world;
 
     std::vector<std::unique_ptr<Sink<Tiny>>> nodes;
     for (int i = 0; i < 4; ++i) {

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "net/chaos_hooks.hpp"
 #include "net_fixture.hpp"
 
 namespace riot::net {
 namespace {
 
 using riot::testing::NetFixture;
+using riot::testing::Sink;
 
 struct Ping {
   int value = 0;
@@ -441,6 +443,103 @@ TEST_F(NetworkTest, DelayInflationStretchesOnlyTheByzantineSender) {
   EXPECT_EQ(network.delay_inflation(slow), 4.0);
   EXPECT_EQ(network.delay_inflation(NodeId{999}), 1.0)
       << "unknown endpoints read as uninflated";
+}
+
+// chaos_hooks_for: two logical nodes of two endpoints each.
+struct ChaosHooksTest : NetworkTest {
+  Sink<Ping> a0{network}, a1{network}, b0{network}, b1{network};
+  LogicalNodes nodes{{&a0, &a1}, {&b0, &b1}};
+  sim::chaos::ChaosHooks hooks = chaos_hooks_for(network, nodes);
+
+  bool cut_off(Node& x, Node& y) const {
+    return !network.reachable(x.id(), y.id()) &&
+           !network.reachable(y.id(), x.id());
+  }
+};
+
+TEST_F(ChaosHooksTest, BindsEveryHook) {
+  EXPECT_TRUE(hooks.crash_node && hooks.restart_node && hooks.partition &&
+              hooks.heal && hooks.isolate && hooks.unisolate &&
+              hooks.ambient_loss && hooks.latency_factor && hooks.duplicate &&
+              hooks.clock_skew && hooks.falsify && hooks.selective_drop &&
+              hooks.delay_inflate);
+}
+
+TEST_F(ChaosHooksTest, CrashAndRestartTakeEveryEndpointOfTheNode) {
+  hooks.crash_node(1);
+  EXPECT_TRUE(a0.alive() && a1.alive());
+  EXPECT_FALSE(b0.alive() || b1.alive());
+  EXPECT_FALSE(network.node_up(b0.id()) || network.node_up(b1.id()));
+  hooks.restart_node(1);
+  EXPECT_TRUE(b0.alive() && b1.alive());
+  EXPECT_TRUE(network.node_up(b0.id()) && network.node_up(b1.id()));
+}
+
+TEST_F(ChaosHooksTest, PartitionAndIsolationCoverEveryEndpoint) {
+  hooks.partition({1});
+  for (Node* a : {&a0, &a1}) {
+    for (Node* b : {&b0, &b1}) EXPECT_TRUE(cut_off(*a, *b));
+  }
+  EXPECT_FALSE(cut_off(a0, a1));
+  EXPECT_FALSE(cut_off(b0, b1));
+  hooks.heal();
+  EXPECT_FALSE(cut_off(a0, b1));
+
+  hooks.isolate(1);
+  EXPECT_TRUE(cut_off(b0, b1));
+  EXPECT_TRUE(cut_off(a0, b0) && cut_off(a1, b1));
+  EXPECT_FALSE(cut_off(a0, a1));
+  hooks.unisolate(1);
+  EXPECT_FALSE(cut_off(b0, b1));
+  EXPECT_FALSE(cut_off(a0, b0));
+}
+
+TEST_F(ChaosHooksTest, PerNodeKnobsReachEveryEndpoint) {
+  hooks.clock_skew(1, sim::seconds(2));
+  hooks.falsify(1, 0.5);
+  hooks.selective_drop(1, 0.25);
+  hooks.delay_inflate(1, 3.0);
+  for (Node* b : {&b0, &b1}) {
+    EXPECT_EQ(network.clock_skew(b->id()), sim::seconds(2));
+    EXPECT_EQ(network.falsify_probability(b->id()), 0.5);
+    EXPECT_EQ(network.selective_drop_probability(b->id()), 0.25);
+    EXPECT_EQ(network.delay_inflation(b->id()), 3.0);
+  }
+  for (Node* a : {&a0, &a1}) {
+    EXPECT_EQ(network.clock_skew(a->id()), sim::kSimTimeZero);
+    EXPECT_EQ(network.falsify_probability(a->id()), 0.0);
+    EXPECT_EQ(network.selective_drop_probability(a->id()), 0.0);
+    EXPECT_EQ(network.delay_inflation(a->id()), 1.0);
+  }
+}
+
+TEST_F(ChaosHooksTest, GlobalKnobsSetTheNetwork) {
+  hooks.ambient_loss(0.3);
+  hooks.latency_factor(2.5);
+  hooks.duplicate(0.1);
+  EXPECT_EQ(network.ambient_loss(), 0.3);
+  EXPECT_EQ(network.latency_factor(), 2.5);
+  EXPECT_EQ(network.duplicate_probability(), 0.1);
+}
+
+TEST_F(ChaosHooksTest, IndexWithoutEndpointsIsANoOp) {
+  hooks.crash_node(5);
+  hooks.partition({5});
+  hooks.isolate(5);
+  hooks.clock_skew(5, sim::seconds(1));
+  hooks.falsify(5, 0.9);
+  hooks.selective_drop(5, 0.9);
+  hooks.delay_inflate(5, 9.0);
+  hooks.unisolate(5);
+  hooks.restart_node(5);
+  for (Node* n : {&a0, &a1, &b0, &b1}) {
+    EXPECT_TRUE(n->alive());
+    EXPECT_EQ(network.clock_skew(n->id()), sim::kSimTimeZero);
+    EXPECT_EQ(network.falsify_probability(n->id()), 0.0);
+    EXPECT_EQ(network.selective_drop_probability(n->id()), 0.0);
+    EXPECT_EQ(network.delay_inflation(n->id()), 1.0);
+    for (Node* m : {&a0, &a1, &b0, &b1}) EXPECT_FALSE(cut_off(*n, *m));
+  }
 }
 
 }  // namespace

@@ -60,6 +60,20 @@ TEST_F(NodeTest, CrashedNodeSendsNothing) {
   EXPECT_TRUE(b.received.empty());
 }
 
+TEST_F(NodeTest, IncarnationCountsRecoveries) {
+  Sink<Hello> a(network);
+  EXPECT_EQ(a.incarnation(), 0u);
+  a.crash();
+  EXPECT_EQ(a.incarnation(), 0u);
+  a.crash();  // already down: a no-op
+  EXPECT_EQ(a.incarnation(), 0u);
+  a.recover();
+  EXPECT_EQ(a.incarnation(), 1u);
+  a.crash();
+  a.recover();
+  EXPECT_EQ(a.incarnation(), 2u);
+}
+
 TEST_F(NodeTest, RecoveredNodeReceivesAgain) {
   Sink<Hello> a(network);
   Sink<Hello> b(network);

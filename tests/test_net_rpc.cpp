@@ -312,7 +312,7 @@ TEST_F(RpcTest, BreakerLifecycleUnderPartitionAndHeal) {
   });
   sim.run_until(sim::millis(500));
   EXPECT_GT(successes, 0u);  // healthy before the partition
-  partition_away({server.id()});
+  network.partition({{server.id()}});
   sim.run_until(sim::seconds(2));
   // While the server is unreachable the breaker cycles open -> half-open
   // probe -> open; whichever phase the checkpoint lands on, it is not
@@ -320,7 +320,7 @@ TEST_F(RpcTest, BreakerLifecycleUnderPartitionAndHeal) {
   EXPECT_NE(client.rpc.breaker_state(server.id()), BreakerState::kClosed);
   const std::uint64_t fast_fails = client.rpc.failed_fast();
   EXPECT_GT(fast_fails, 0u);
-  heal();
+  network.heal_partition();
   const std::uint64_t successes_before_heal = successes;
   sim.run_until(sim::seconds(4));
   // Cooldown elapsed -> a probe was admitted (half-open), succeeded, and
@@ -346,7 +346,7 @@ TEST_F(RpcTest, BreakerLifecycleUnderPartitionAndHeal) {
 }
 
 TEST_F(RpcTest, DuplicatedMessagesExecuteHandlersOnce) {
-  enable_duplication(1.0);  // every message delivered twice
+  network.set_duplicate_probability(1.0);  // every message delivered twice
   std::vector<int> results;
   for (int i = 0; i < 5; ++i) {
     client.rpc.call<EchoReq, EchoResp>(
@@ -576,7 +576,7 @@ TEST_F(RpcTest, AsyncHandlerSeesCallerDeadline) {
 }
 
 TEST_F(RpcTest, AsyncDuplicateWhileInFlightSuppressedNotReExecuted) {
-  enable_duplication(1.0);  // every message delivered twice
+  network.set_duplicate_probability(1.0);  // every message delivered twice
   int executions = 0;
   server.rpc.serve_async<EchoReq, EchoResp>(
       [&, this](NodeId, const EchoReq& req, sim::SimTime,
