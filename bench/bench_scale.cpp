@@ -28,7 +28,10 @@
 // same heartbeat + request-chain workload run on the sharded kernel at
 // 1/2/4/8 shards. Shard-count determinism is enforced unconditionally —
 // every rung of a ladder must fingerprint bit-identically (events, sent,
-// delivered, dropped, bytes, delivery hash) to its single-shard run.
+// delivered, dropped, bytes, delivery hash) to its single-shard run. That
+// fingerprint is printed as one `sharded-fingerprint` line per population,
+// and its hash is recorded as hex text in the report's config
+// (`sharded_hash_<population>`), so other commits can be compared with it.
 // Parallel speedup floors (--min-shard-speedup) only apply when the host
 // actually has the cores (hardware_concurrency >= shards); the `cpus`
 // config field records what the numbers were measured on.
@@ -630,6 +633,20 @@ int main(int argc, char** argv) {
         }
       }
     }
+    // One line per population, comparable across commits: the gate above
+    // holds every rung to this 1-shard fingerprint.
+    char hash_hex[17];
+    std::snprintf(hash_hex, sizeof hash_hex, "%016llx",
+                  static_cast<unsigned long long>(baseline.hash));
+    std::printf(
+        "sharded-fingerprint %zu events=%llu sent=%llu delivered=%llu "
+        "dropped=%llu bytes=%llu hash=%s\n",
+        population, static_cast<unsigned long long>(baseline.phase.events),
+        static_cast<unsigned long long>(baseline.sent),
+        static_cast<unsigned long long>(baseline.delivered),
+        static_cast<unsigned long long>(baseline.dropped),
+        static_cast<unsigned long long>(baseline.bytes), hash_hex);
+    report.config("sharded_hash_" + std::to_string(population), hash_hex);
     if (eps1 > 0.0) {
       report.metric("sharded_speedup4_" + std::to_string(population),
                     eps4 / eps1);

@@ -79,13 +79,7 @@ void Network::set_endpoint_class(NodeId id, LinkClass cls) {
 
 void Network::set_class_link(LinkClass from, LinkClass to,
                              LinkQuality quality) {
-  if (from >= kMaxLinkClasses || to >= kMaxLinkClasses) {
-    throw std::invalid_argument("Network::set_class_link: class too big");
-  }
-  const std::size_t cell = from * kMaxLinkClasses + to;
-  class_matrix_[cell] = quality;
-  class_matrix_set_[cell] = true;
-  class_fast_path_ = true;
+  class_links_.set(from, to, quality);
 }
 
 LinkQuality Network::link_quality(NodeId from, NodeId to) const {
@@ -98,12 +92,13 @@ LinkQuality Network::link_quality(NodeId from, NodeId to) const {
       return it->second;
     }
   }
-  if (class_fast_path_ && from.value < endpoints_.size() &&
+  if (class_links_.any() && from.value < endpoints_.size() &&
       to.value < endpoints_.size()) {
-    const std::size_t cell =
-        endpoints_[from.value].link_class * kMaxLinkClasses +
-        endpoints_[to.value].link_class;
-    if (class_matrix_set_[cell]) return class_matrix_[cell];
+    if (const LinkQuality* q =
+            class_links_.find(endpoints_[from.value].link_class,
+                              endpoints_[to.value].link_class)) {
+      return *q;
+    }
   }
   return link_model_(from, to);
 }
@@ -200,8 +195,6 @@ std::uint64_t Network::submit(Message message) {
   }
   if (!endpoints_[message.from.value].up) return 0;  // dead senders say nothing
   message.id = next_message_id_++;
-  ++sent_;
-  bytes_sent_ += message.wire_size;
   sent_total_.increment();
   bytes_total_.increment(message.wire_size);
 
@@ -220,7 +213,6 @@ std::uint64_t Network::submit(Message message) {
   // at delivery time. (A message in flight when a partition starts still
   // arrives — the window is one latency, negligible at our scales.)
   if (!reachable(message.from, message.to)) {
-    ++dropped_;
     dropped_partition_.increment();
     if (message.span.valid()) {
       tracer_.annotate(message.span, "drop", "partition");
@@ -231,7 +223,6 @@ std::uint64_t Network::submit(Message message) {
   const LinkQuality q = link_quality(message.from, message.to);
   const double loss = q.loss + ambient_loss_;
   if (loss > 0.0 && rng_.chance(loss)) {
-    ++dropped_;
     dropped_loss_.increment();
     if (message.span.valid()) {
       tracer_.annotate(message.span, "drop", "loss");
@@ -246,7 +237,6 @@ std::uint64_t Network::submit(Message message) {
   // receivers (RPC verification, trust scoring) can react.
   const Endpoint& sender = endpoints_[message.from.value];
   if (sender.selective_drop > 0.0 && rng_.chance(sender.selective_drop)) {
-    ++dropped_;
     dropped_byzantine_.increment();
     if (message.span.valid()) {
       tracer_.annotate(message.span, "drop", "byzantine");
@@ -256,22 +246,9 @@ std::uint64_t Network::submit(Message message) {
   }
   if (sender.falsify > 0.0 && rng_.chance(sender.falsify)) {
     message.tainted = true;
-    ++falsified_;
     falsified_total_.increment();
   }
-  sim::SimTime latency = q.base_latency;
-  if (q.jitter > sim::kSimTimeZero) {
-    latency += sim::nanos(static_cast<std::int64_t>(
-        rng_.uniform01() * static_cast<double>(q.jitter.count())));
-  }
-  if (latency_factor_ != 1.0) {
-    latency = sim::nanos(static_cast<std::int64_t>(
-        static_cast<double>(latency.count()) * latency_factor_));
-  }
-  if (sender.delay_inflation != 1.0) {
-    latency = sim::nanos(static_cast<std::int64_t>(
-        static_cast<double>(latency.count()) * sender.delay_inflation));
-  }
+  const sim::SimTime latency = sender_latency(q, sender);
   latency_us_.record_time(latency);
   const std::uint64_t id = message.id;
   // Duplication hook: an extra copy with its own latency draw. Guarded by
@@ -279,21 +256,8 @@ std::uint64_t Network::submit(Message message) {
   // Move-only payloads cannot be duplicated; the latency draw still
   // happens (seed stability again), the copy is just not made.
   if (duplicate_probability_ > 0.0 && rng_.chance(duplicate_probability_)) {
-    sim::SimTime dup_latency = q.base_latency;
-    if (q.jitter > sim::kSimTimeZero) {
-      dup_latency += sim::nanos(static_cast<std::int64_t>(
-          rng_.uniform01() * static_cast<double>(q.jitter.count())));
-    }
-    if (latency_factor_ != 1.0) {
-      dup_latency = sim::nanos(static_cast<std::int64_t>(
-          static_cast<double>(dup_latency.count()) * latency_factor_));
-    }
-    if (sender.delay_inflation != 1.0) {
-      dup_latency = sim::nanos(static_cast<std::int64_t>(
-          static_cast<double>(dup_latency.count()) * sender.delay_inflation));
-    }
+    const sim::SimTime dup_latency = sender_latency(q, sender);
     if (message.payload.copyable()) {
-      ++duplicated_;
       duplicated_total_.increment();
       Message copy = message;
       copy.span = {};  // the copy is ambient; never double-closes the send span
@@ -304,30 +268,25 @@ std::uint64_t Network::submit(Message message) {
   return id;
 }
 
-// --- In-flight slab ---------------------------------------------------------
-
-std::uint32_t Network::flight_store(Message&& message) {
-  if (!flight_free_.empty()) {
-    const std::uint32_t slot = flight_free_.back();
-    flight_free_.pop_back();
-    flight_[slot] = std::move(message);
-    return slot;
+sim::SimTime Network::sender_latency(const LinkQuality& q,
+                                     const Endpoint& sender) {
+  sim::SimTime latency = draw_latency(q, rng_);
+  if (latency_factor_ != 1.0) {
+    latency = sim::nanos(static_cast<std::int64_t>(
+        static_cast<double>(latency.count()) * latency_factor_));
   }
-  flight_.push_back(std::move(message));
-  return static_cast<std::uint32_t>(flight_.size() - 1);
-}
-
-void Network::deliver_flight(std::uint32_t slot) {
-  Message message = std::move(flight_[slot]);
-  flight_free_.push_back(slot);
-  deliver(std::move(message));
+  if (sender.delay_inflation != 1.0) {
+    latency = sim::nanos(static_cast<std::int64_t>(
+        static_cast<double>(latency.count()) * sender.delay_inflation));
+  }
+  return latency;
 }
 
 void Network::schedule_delivery(Message&& message, sim::SimTime latency) {
-  const std::uint32_t slot = flight_store(std::move(message));
+  const std::uint32_t slot = flight_.store(std::move(message));
   // {this, slot} rides inline in the event slot, so scheduling a delivery
   // never allocates.
-  auto deliver = [this, slot] { deliver_flight(slot); };
+  auto deliver = [this, slot] { this->deliver(flight_.take(slot)); };
   static_assert(sim::Simulation::Callback::stores_inline<decltype(deliver)>());
   sim_.schedule_after(latency, deliver, component_);
 }
@@ -388,7 +347,6 @@ double Network::delay_inflation(NodeId id) const {
 void Network::deliver(Message message) {
   auto& ep = endpoints_[message.to.value];
   if (!ep.up) {
-    ++dropped_;
     dropped_dead_target_.increment();
     if (message.span.valid()) {
       tracer_.annotate(message.span, "drop", "dead_target");
@@ -396,7 +354,6 @@ void Network::deliver(Message message) {
     }
     return;
   }
-  ++delivered_;
   delivered_total_.increment();
   if (message.span.valid()) {
     // The deliver span wraps the handler as the active scope, so anything

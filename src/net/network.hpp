@@ -5,12 +5,11 @@
 // liveness — the substrate on which the paper's disruptions ("connectivity
 // to cloud control structures may not be persistent") are exercised.
 //
-// Latency classes mirror a contemporary IoT deployment:
-//   - kLan:   devices and their local edge/gateway     (~0.5 ms)
-//   - kMan:   edge-to-edge within a metro region        (~5 ms)
-//   - kWan:   anything traversing the internet to cloud (~50–150 ms)
-// The mapping from node pairs to classes is pluggable; src/core wires it
-// from device locations and classes.
+// The link model (LinkQuality, the LAN/MAN/WAN latency classes, the
+// class-pair table, the jitter draw and the in-flight slab) lives in
+// net/link.hpp and is shared with the sharded fabric. The mapping from node
+// pairs to classes is pluggable; src/core wires it from device locations
+// and classes.
 //
 // Observability: metrics are handle-based (`riot_net_*` references resolved
 // once in the constructor — the send/deliver hot path never pays a name
@@ -21,13 +20,13 @@
 // downstream detectors parent their reactions on.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "net/link.hpp"
 #include "net/message.hpp"
 #include "net/node_id.hpp"
 #include "obs/metrics.hpp"
@@ -37,27 +36,6 @@
 #include "sim/trace.hpp"
 
 namespace riot::net {
-
-/// Quality of a directed link.
-struct LinkQuality {
-  sim::SimTime base_latency = sim::millis(1);
-  sim::SimTime jitter = sim::kSimTimeZero;  // uniform in [0, jitter)
-  double loss = 0.0;                        // message loss probability
-};
-
-/// Canonical latency classes (see file header).
-struct LatencyClasses {
-  LinkQuality lan{sim::micros(500), sim::micros(200), 0.001};
-  LinkQuality man{sim::millis(5), sim::millis(2), 0.002};
-  LinkQuality wan{sim::millis(50), sim::millis(20), 0.005};
-};
-
-/// Coarse per-endpoint tier for the cached class-pair fast path (device,
-/// edge, cloud, ... — the meaning is the caller's). At 10k+ endpoints the
-/// per-message link resolution must not run a std::function or hash a pair
-/// key; a (from_class, to_class) matrix cell is two array loads.
-using LinkClass = std::uint8_t;
-constexpr std::size_t kMaxLinkClasses = 16;
 
 class Network {
  public:
@@ -174,14 +152,25 @@ class Network {
   [[nodiscard]] obs::Tracer& tracer() { return tracer_; }
   [[nodiscard]] sim::TraceLog& trace() { return trace_; }
 
-  [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
-  [[nodiscard]] std::uint64_t messages_delivered() const { return delivered_; }
-  [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }
-  [[nodiscard]] std::uint64_t messages_duplicated() const {
-    return duplicated_;
+  [[nodiscard]] std::uint64_t messages_sent() const {
+    return sent_total_.value();
   }
-  [[nodiscard]] std::uint64_t messages_falsified() const { return falsified_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
+  [[nodiscard]] std::uint64_t messages_delivered() const {
+    return delivered_total_.value();
+  }
+  [[nodiscard]] std::uint64_t messages_dropped() const {
+    return dropped_partition_.value() + dropped_loss_.value() +
+           dropped_dead_target_.value() + dropped_byzantine_.value();
+  }
+  [[nodiscard]] std::uint64_t messages_duplicated() const {
+    return duplicated_total_.value();
+  }
+  [[nodiscard]] std::uint64_t messages_falsified() const {
+    return falsified_total_.value();
+  }
+  [[nodiscard]] std::uint64_t bytes_sent() const {
+    return bytes_total_.value();
+  }
 
  private:
   struct Endpoint {
@@ -201,16 +190,9 @@ class Network {
   static constexpr std::uint32_t kIsolatedGroupBit = 0x8000'0000u;
 
   void deliver(Message message);
-
-  // --- In-flight message slab ----------------------------------------------
-  // Messages scheduled for delivery park in a reusable slab; the event
-  // captured by the kernel is just {this, slot}, which the event slot
-  // stores inline, so the per-delivery closure allocation disappears.
-  // Slots are recycled LIFO on delivery (deterministic), and in steady
-  // state the slab stops growing, making fixed-size payload delivery
-  // allocation-free end to end.
-  std::uint32_t flight_store(Message&& message);
-  void deliver_flight(std::uint32_t slot);
+  // One latency draw over `q`, scaled by the latency factor and then by the
+  // sender's delay inflation, truncating to whole nanoseconds at each step.
+  sim::SimTime sender_latency(const LinkQuality& q, const Endpoint& sender);
   void schedule_delivery(Message&& message, sim::SimTime latency);
 
   sim::Simulation& sim_;
@@ -220,27 +202,16 @@ class Network {
   sim::Rng rng_;
   sim::ComponentId component_;
   std::vector<Endpoint> endpoints_;
-  std::vector<Message> flight_;            // in-flight message slab
-  std::vector<std::uint32_t> flight_free_;  // recycled slots, LIFO
+  FlightSlab flight_;
   LinkModel link_model_;
   std::unordered_map<std::uint64_t, LinkQuality> link_overrides_;
-  // Class-pair quality cache (row-major from_class x to_class); consulted
-  // only when at least one cell was populated via set_class_link.
-  std::array<LinkQuality, kMaxLinkClasses * kMaxLinkClasses> class_matrix_{};
-  std::array<bool, kMaxLinkClasses * kMaxLinkClasses> class_matrix_set_{};
-  bool class_fast_path_ = false;
+  ClassLinkTable class_links_;
   std::unordered_map<std::uint32_t, std::uint32_t> isolated_;  // id -> saved group
   bool partitioned_ = false;
   double ambient_loss_ = 0.0;
   double latency_factor_ = 1.0;
   double duplicate_probability_ = 0.0;
   std::uint64_t next_message_id_ = 1;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t duplicated_ = 0;
-  std::uint64_t falsified_ = 0;
-  std::uint64_t bytes_sent_ = 0;
 
   // Metric handles, resolved once at construction (see obs/metrics.hpp).
   sim::Counter& sent_total_;

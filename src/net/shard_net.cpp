@@ -1,10 +1,10 @@
 #include "net/shard_net.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <string>
 #include <tuple>
-
-#include "obs/metrics.hpp"
 
 namespace riot::net {
 
@@ -32,12 +32,16 @@ ShardedNetwork::ShardedNetwork(sim::ShardedSimulation& kernel)
   }
 }
 
+void ShardedNetwork::check_unsealed(const char* what) const {
+  if (sealed_) {
+    throw std::logic_error(std::string("ShardedNetwork::") + what +
+                           ": topology is sealed");
+  }
+}
+
 NodeId ShardedNetwork::register_endpoint(std::size_t shard,
                                          DeliveryHandler handler) {
-  if (sealed_) {
-    throw std::logic_error(
-        "ShardedNetwork::register_endpoint: topology is sealed");
-  }
+  check_unsealed("register_endpoint");
   if (shard >= shards_.size()) {
     throw std::out_of_range("ShardedNetwork::register_endpoint: bad shard");
   }
@@ -54,12 +58,8 @@ NodeId ShardedNetwork::register_endpoint(std::size_t shard,
   return NodeId{id};
 }
 
-NodeId ShardedNetwork::register_endpoint(DeliveryHandler handler) {
-  return register_endpoint(endpoints_.size() % shards_.size(),
-                           std::move(handler));
-}
-
 void ShardedNetwork::set_endpoint_class(NodeId id, LinkClass cls) {
+  check_unsealed("set_endpoint_class");
   if (cls >= kMaxLinkClasses) {
     throw std::invalid_argument(
         "ShardedNetwork::set_endpoint_class: class too big");
@@ -68,27 +68,22 @@ void ShardedNetwork::set_endpoint_class(NodeId id, LinkClass cls) {
 }
 
 void ShardedNetwork::set_class_link(LinkClass from, LinkClass to,
-                                    ShardLinkQuality quality) {
-  if (from >= kMaxLinkClasses || to >= kMaxLinkClasses) {
-    throw std::invalid_argument(
-        "ShardedNetwork::set_class_link: class too big");
-  }
-  if (sealed_) {
-    throw std::logic_error("ShardedNetwork::set_class_link: sealed");
-  }
-  const std::size_t cell =
-      static_cast<std::size_t>(from) * kMaxLinkClasses + to;
-  class_matrix_[cell] = quality;
-  class_matrix_set_[cell] = true;
+                                    LinkQuality quality) {
+  check_unsealed("set_class_link");
+  class_links_.set(from, to, quality);
+}
+
+void ShardedNetwork::set_ambient_loss(double loss) {
+  check_unsealed("set_ambient_loss");
+  ambient_loss_ = loss;
 }
 
 void ShardedNetwork::seal() {
   if (sealed_) return;
   // Conservative lookahead: the smallest base latency any cross-shard
   // message can draw. Walk the class pairs actually reachable by
-  // registered endpoints; a pair without a populated cell falls back to
-  // the default quality, so the default participates whenever any such
-  // pair exists.
+  // registered endpoints; a pair without a set cell resolves to
+  // LinkQuality{}, which then takes part like any other cell.
   std::array<bool, kMaxLinkClasses> class_used{};
   for (const EndpointRoute& route : routes_) {
     class_used[route.link_class] = true;
@@ -100,9 +95,8 @@ void ShardedNetwork::seal() {
       if (!class_used[f]) continue;
       for (std::size_t t = 0; t < kMaxLinkClasses; ++t) {
         if (!class_used[t]) continue;
-        const std::size_t cell = f * kMaxLinkClasses + t;
-        const ShardLinkQuality& q =
-            class_matrix_set_[cell] ? class_matrix_[cell] : default_quality_;
+        const LinkQuality q = link_quality(static_cast<LinkClass>(f),
+                                           static_cast<LinkClass>(t));
         min_latency = std::min(min_latency, q.base_latency);
       }
     }
@@ -133,23 +127,18 @@ std::uint64_t ShardedNetwork::submit(Message message) {
   ++ss.sent;
   ss.bytes += message.wire_size;
 
-  const ShardLinkQuality q = link_quality(from, to);
+  const LinkQuality q = link_quality(from.link_class, to.link_class);
   const double loss = q.loss + ambient_loss_;
   if (loss > 0.0 && src.rng.chance(loss)) {
     ++ss.dropped;
     return message.id;
   }
-  sim::SimTime latency = q.base_latency;
-  if (q.jitter > sim::kSimTimeZero) {
-    latency += sim::nanos(static_cast<std::int64_t>(
-        src.rng.uniform01() * static_cast<double>(q.jitter.count())));
-  }
+  const sim::SimTime latency = draw_latency(q, src.rng);
   const std::uint64_t id = message.id;
   const sim::SimTime at = kernel_.shard(from.shard).now() + latency;
   if (to.shard != from.shard) {
     // The seal()-derived lookahead must bound every cross-shard latency;
-    // anything tighter (a post-seal matrix edit would be the only way)
-    // breaks the window protocol, so refuse loudly.
+    // anything tighter breaks the window protocol, so refuse loudly.
     if (latency < lookahead_) {
       throw std::logic_error(
           "ShardedNetwork::submit: cross-shard latency below lookahead");
@@ -168,22 +157,10 @@ std::uint64_t ShardedNetwork::submit(Message message) {
   return id;
 }
 
-std::uint32_t ShardedNetwork::flight_store(ShardState& ss,
-                                           Message&& message) {
-  if (!ss.flight_free.empty()) {
-    const std::uint32_t slot = ss.flight_free.back();
-    ss.flight_free.pop_back();
-    ss.flight[slot] = std::move(message);
-    return slot;
-  }
-  ss.flight.push_back(std::move(message));
-  return static_cast<std::uint32_t>(ss.flight.size() - 1);
-}
-
 void ShardedNetwork::schedule_delivery(std::uint32_t dst_shard,
                                        sim::SimTime at, Message&& message) {
   ShardState& ss = shards_[dst_shard];
-  const std::uint32_t slot = flight_store(ss, std::move(message));
+  const std::uint32_t slot = ss.flight.store(std::move(message));
   // {this, shard, slot} rides inline in the event slot, so a delivery
   // never allocates.
   kernel_.shard(dst_shard).schedule_at(
@@ -193,8 +170,7 @@ void ShardedNetwork::schedule_delivery(std::uint32_t dst_shard,
 
 void ShardedNetwork::deliver_flight(std::uint32_t shard, std::uint32_t slot) {
   ShardState& ss = shards_[shard];
-  Message message = std::move(ss.flight[slot]);
-  ss.flight_free.push_back(slot);
+  const Message message = ss.flight.take(slot);
   EndpointState& ep = endpoints_[message.to.value];
   if (!ep.up) {
     ++ss.dropped;
@@ -284,35 +260,6 @@ std::uint64_t ShardedNetwork::delivery_hash() const {
   sim::RunHash merged;
   for (const ShardState& ss : shards_) merged.merge(ss.hash);
   return merged.digest();
-}
-
-void ShardedNetwork::export_metrics(obs::MetricsRegistry& registry) const {
-  auto& sent = registry
-                   .counter_family("riot_shardnet_sent_total",
-                                   "messages submitted to the sharded fabric")
-                   .with({});
-  auto& delivered =
-      registry
-          .counter_family("riot_shardnet_delivered_total",
-                          "messages delivered to a live endpoint")
-          .with({});
-  auto& dropped = registry
-                      .counter_family("riot_shardnet_dropped_total",
-                                      "messages dropped (loss or dead target)")
-                      .with({});
-  auto& cross = registry
-                    .counter_family("riot_shardnet_cross_shard_total",
-                                    "messages exchanged across shards")
-                    .with({});
-  auto& bytes = registry
-                    .counter_family("riot_shardnet_bytes_total",
-                                    "estimated wire bytes submitted")
-                    .with({});
-  sent.increment(messages_sent());
-  delivered.increment(messages_delivered());
-  dropped.increment(messages_dropped());
-  cross.increment(messages_cross_shard());
-  bytes.increment(bytes_sent());
 }
 
 }  // namespace riot::net

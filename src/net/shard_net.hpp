@@ -20,43 +20,31 @@
 // order-invariant delivery hash.
 //
 // Scope: this is the scale fabric, deliberately leaner than net::Network —
-// class-matrix link resolution only (no per-pair overrides, no partitions,
-// no span tracing on the hot path), liveness flags owned by the endpoint's
-// home shard. Topology (endpoints, classes, class links) is wired
+// it shares Network's link model (net/link.hpp: LinkQuality, the class-pair
+// table, the jitter draw, the flight slab) but resolves links through the
+// class table only (no per-pair overrides, no partitions, no span tracing
+// on the hot path), and liveness flags are owned by the endpoint's home
+// shard. Topology (endpoints, classes, class links, ambient loss) is wired
 // single-threaded before seal(); after seal() only message traffic and
-// owner-shard liveness toggles are legal.
+// owner-shard liveness toggles are legal, and the topology setters throw.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "net/link.hpp"
 #include "net/message.hpp"
 #include "net/node_id.hpp"
 #include "sim/rng.hpp"
 #include "sim/sharded.hpp"
 #include "sim/time.hpp"
 
-namespace riot::obs {
-class MetricsRegistry;
-}  // namespace riot::obs
-
 namespace riot::net {
-
-/// Quality of a directed link (mirror of network.hpp's LinkQuality, local
-/// copy to avoid pulling the full Network surface into the scale fabric).
-struct ShardLinkQuality {
-  sim::SimTime base_latency = sim::millis(1);
-  sim::SimTime jitter = sim::kSimTimeZero;  // uniform in [0, jitter)
-  double loss = 0.0;
-};
 
 class ShardedNetwork {
  public:
   using DeliveryHandler = std::function<void(const Message&)>;
-  using LinkClass = std::uint8_t;
-  static constexpr std::size_t kMaxLinkClasses = 16;
 
   explicit ShardedNetwork(sim::ShardedSimulation& kernel);
 
@@ -67,21 +55,16 @@ class ShardedNetwork {
   /// caller's: keep chatty neighborhoods — clusters, cells — on one shard
   /// so cross-shard traffic stays the long-haul minority).
   NodeId register_endpoint(std::size_t shard, DeliveryHandler handler);
-  /// Round-robin shard assignment (id % shard_count).
-  NodeId register_endpoint(DeliveryHandler handler);
 
   /// Class wiring, exactly as net::Network: per-endpoint class plus a
-  /// (from, to) class matrix. Unpopulated cells fall back to the default
-  /// link quality. Pre-seal only.
+  /// (from, to) class table. A cell never set resolves to LinkQuality{}.
+  /// Pre-seal only: every shard reads the routes and the table.
   void set_endpoint_class(NodeId id, LinkClass cls);
-  void set_class_link(LinkClass from, LinkClass to, ShardLinkQuality quality);
-  void set_default_link(ShardLinkQuality quality) {
-    default_quality_ = quality;
-  }
+  void set_class_link(LinkClass from, LinkClass to, LinkQuality quality);
 
   /// Extra loss applied on top of link loss. Pre-seal only (a mid-run
   /// change would be observed at different windows on different shards).
-  void set_ambient_loss(double loss) { ambient_loss_ = loss; }
+  void set_ambient_loss(double loss);
 
   /// Freeze topology: derive the kernel lookahead (minimum base latency
   /// any cross-shard message can draw, from the class cells reachable by
@@ -120,10 +103,6 @@ class ShardedNetwork {
   /// destination, payload kind) — the seed-stable trace hash the
   /// determinism matrix compares across shard counts.
   [[nodiscard]] std::uint64_t delivery_hash() const;
-
-  /// Merge per-shard counters into riot_shardnet_* metric families.
-  /// Single-threaded; call after (or between) runs.
-  void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:
   // Where an endpoint lives and how it links: fixed by seal(), then only
@@ -165,8 +144,7 @@ class ShardedNetwork {
   // Everything a worker touches per message lives here, one cache-line
   // aligned block per shard.
   struct alignas(64) ShardState {
-    std::vector<Message> flight;              // in-flight slab
-    std::vector<std::uint32_t> flight_free;   // recycled slots, LIFO
+    FlightSlab flight;
     // outbox[side * shard_count + dst]: the kernel's two buffer sides.
     std::vector<Outbox> outbox;
     std::vector<InboundRef> merge_scratch;
@@ -179,15 +157,13 @@ class ShardedNetwork {
     sim::RunHash hash;
   };
 
-  [[nodiscard]] ShardLinkQuality link_quality(const EndpointRoute& from,
-                                              const EndpointRoute& to) const {
-    const std::size_t cell =
-        static_cast<std::size_t>(from.link_class) * kMaxLinkClasses +
-        to.link_class;
-    return class_matrix_set_[cell] ? class_matrix_[cell] : default_quality_;
+  [[nodiscard]] LinkQuality link_quality(LinkClass from, LinkClass to) const {
+    const LinkQuality* q = class_links_.find(from, to);
+    return q != nullptr ? *q : LinkQuality{};
   }
+  // Throws std::logic_error once seal() ran.
+  void check_unsealed(const char* what) const;
 
-  std::uint32_t flight_store(ShardState& ss, Message&& message);
   void deliver_flight(std::uint32_t shard, std::uint32_t slot);
   void schedule_delivery(std::uint32_t dst_shard, sim::SimTime at,
                          Message&& message);
@@ -197,10 +173,7 @@ class ShardedNetwork {
   std::vector<EndpointRoute> routes_;
   std::vector<EndpointState> endpoints_;
   std::vector<ShardState> shards_;
-  std::array<ShardLinkQuality, kMaxLinkClasses * kMaxLinkClasses>
-      class_matrix_{};
-  std::array<bool, kMaxLinkClasses * kMaxLinkClasses> class_matrix_set_{};
-  ShardLinkQuality default_quality_{};
+  ClassLinkTable class_links_;
   double ambient_loss_ = 0.0;
   sim::SimTime lookahead_ = sim::kSimTimeZero;
   bool sealed_ = false;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -148,7 +147,6 @@ ShardedSimulation::ShardedSimulation(std::size_t shard_count,
     sims_.push_back(std::make_unique<ShardKernel>(shard_seed(seed, i)));
   }
   slots_.resize(shard_count);
-  outbox_.resize(2 * shard_count * shard_count);
   // Started here rather than per run, so a run's first window does not
   // wait on thread creation. A worker enters the window protocol only
   // once every worker exists; if one cannot be started, the others are
@@ -182,68 +180,6 @@ ShardedSimulation::~ShardedSimulation() {
   stop_ = true;
   start_barrier_.arrive_and_wait([] {});
   for (std::thread& t : workers_) t.join();
-}
-
-void ShardedSimulation::post(std::size_t src_shard, std::size_t dst_shard,
-                             SimTime at, std::uint64_t order_key,
-                             std::function<void()> fn,
-                             ComponentId component) {
-  if (src_shard >= sims_.size() || dst_shard >= sims_.size()) {
-    throw std::out_of_range("ShardedSimulation::post: shard out of range");
-  }
-  if (src_shard == dst_shard) {
-    // Same shard: an ordinary local schedule, no barrier involved.
-    sims_[src_shard]->sim.schedule_at(at, std::move(fn), component);
-    return;
-  }
-  if (at < sims_[src_shard]->sim.now() + lookahead_) {
-    // A delivery inside the lookahead window could land on a shard that
-    // already executed past `at` — refuse loudly instead of reordering
-    // causality. (With lookahead 0 this still admits same-timestamp posts;
-    // they are exchanged in extra same-time rounds.)
-    throw std::logic_error(
-        "ShardedSimulation::post: cross-shard event inside the lookahead "
-        "window");
-  }
-  const std::size_t shards = sims_.size();
-  ShardSlot& slot = slots_[src_shard];
-  ++slot.posted_total;
-  if (!running_) {
-    sims_[dst_shard]->sim.schedule_at(at, std::move(fn), component);
-    return;
-  }
-  outbox_[(write_side_ * shards + src_shard) * shards + dst_shard]
-      .events.push_back(PostedEvent{at, order_key, slot.posted_seq++,
-                                    static_cast<std::uint32_t>(src_shard),
-                                    component, std::move(fn)});
-  note_outbound(src_shard, at);
-}
-
-void ShardedSimulation::merge_posts(std::size_t dst_shard,
-                                    std::size_t side) {
-  const std::size_t shards = sims_.size();
-  std::vector<PostedEvent>& scratch = slots_[dst_shard].merge_scratch;
-  scratch.clear();
-  for (std::size_t src = 0; src < shards; ++src) {
-    std::vector<PostedEvent>& ob =
-        outbox_[(side * shards + src) * shards + dst_shard].events;
-    for (PostedEvent& pe : ob) scratch.push_back(std::move(pe));
-    ob.clear();
-  }
-  if (scratch.empty()) return;
-  // Canonical enqueue order — never arrival race: timestamp, then the
-  // caller's deterministic key, then (source shard, push sequence) so the
-  // order is total for a fixed shard count.
-  std::sort(scratch.begin(), scratch.end(),
-            [](const PostedEvent& a, const PostedEvent& b) {
-              return std::tie(a.at, a.key, a.src, a.seq) <
-                     std::tie(b.at, b.key, b.src, b.seq);
-            });
-  Simulation& sim = sims_[dst_shard]->sim;
-  for (PostedEvent& pe : scratch) {
-    sim.schedule_at(pe.at, std::move(pe.fn), pe.component);
-  }
-  scratch.clear();
 }
 
 void ShardedSimulation::plan_window() noexcept {
@@ -283,10 +219,9 @@ void ShardedSimulation::worker_main(std::size_t shard) {
 }
 
 void ShardedSimulation::exchange(std::size_t shard, std::size_t side) {
-  if (error_flag_.load(std::memory_order_relaxed)) return;
+  if (!exchange_ || error_flag_.load(std::memory_order_relaxed)) return;
   try {
-    merge_posts(shard, side);
-    if (exchange_) exchange_(shard, side);
+    exchange_(shard, side);
   } catch (...) {
     slots_[shard].error = std::current_exception();
     error_flag_.store(true, std::memory_order_relaxed);
@@ -366,12 +301,6 @@ std::uint64_t ShardedSimulation::executed_events() const {
 std::size_t ShardedSimulation::pending_events() const {
   std::size_t total = 0;
   for (const auto& kernel : sims_) total += kernel->sim.pending_events();
-  return total;
-}
-
-std::uint64_t ShardedSimulation::posted_events() const {
-  std::uint64_t total = 0;
-  for (const ShardSlot& slot : slots_) total += slot.posted_total;
   return total;
 }
 

@@ -9,16 +9,18 @@
 //
 // where T_k is the minimum next-event time across shards and `lookahead`
 // is a lower bound on cross-shard interaction latency (for the network
-// fabric: the minimum cross-shard link latency from the class matrix).
+// fabric: the minimum cross-shard link latency from the class table).
 // Within a window every shard executes its local events in parallel;
 // cross-shard work produced during the window cannot land inside it
 // (latency >= lookahead), so shards never observe each other mid-window.
-// One barrier separates consecutive windows. Cross-shard buffers are
-// double-buffered, and every sender reports the earliest time it sent
-// to, so the next window is planned at the barrier itself; after it,
-// each shard takes in its inbound events in a canonical order — sorted
-// by (timestamp, order key, source shard, sequence), never by arrival
-// race — and runs the next window while the others fill the other side.
+// One barrier separates consecutive windows. The kernel itself buffers no
+// cross-shard work; the transport layered on top (the sharded network
+// fabric) does. It keeps two sides of outboxes and reports the earliest
+// time each shard sent to (note_outbound), so the next window is planned
+// at the barrier itself. After the barrier each shard drains the side the
+// last window wrote through the exchange hook, in the transport's
+// canonical order (never by arrival race), while the next window fills
+// the other side.
 //
 // Determinism contract (the non-negotiable): for a fixed (seed, config,
 // shard count), every run is bit-identical. For runs that differ only in
@@ -27,8 +29,8 @@
 // handlers on different entities commutative, execute the identical event
 // set — bit-identical executed-event/message counts and an identical
 // order-invariant RunHash. The sharded network fabric (net/shard_net.hpp)
-// is built to those rules, and tests/test_sim_sharded.cpp +
-// tests/test_net_sharded.cpp pin the 1/2/4/8-shard equivalence.
+// is built to those rules, and tests/test_net_sharded.cpp pins the
+// 1/2/4/8-shard equivalence.
 //
 // Zero lookahead degenerates gracefully: windows collapse to a single
 // timestamp and same-time cross-shard sends are exchanged in repeated
@@ -158,7 +160,7 @@ class ShardedSimulation {
   }
 
   /// Conservative lower bound on cross-shard latency. Every cross-shard
-  /// post/send must land at least this far past the sending shard's clock;
+  /// send must land at least this far past the sending shard's clock;
   /// larger values mean fewer barriers. Zero is legal (single-timestamp
   /// windows). Set before run_until.
   void set_lookahead(SimTime lookahead) { lookahead_ = lookahead; }
@@ -192,18 +194,6 @@ class ShardedSimulation {
     if (at < earliest) earliest = at;
   }
 
-  /// Schedule `fn` on shard `dst_shard` at absolute time `at`. Callable
-  /// from any shard's executing events (`src_shard` = the caller's shard)
-  /// or between runs. `at` must be >= the source shard's clock +
-  /// lookahead — enforced, so a mis-set lookahead surfaces as an error
-  /// instead of a causality hole. During a run, exchanged after the next
-  /// barrier in (at, order_key, src_shard, seq) order. `order_key` is the
-  /// caller's deterministic tie-break (e.g. a stable entity id); pass 0
-  /// when same-time posts commute.
-  void post(std::size_t src_shard, std::size_t dst_shard, SimTime at,
-            std::uint64_t order_key, std::function<void()> fn,
-            ComponentId component = kAnonymousComponent);
-
   /// Run every shard until its queue drains or the clock passes
   /// `deadline`; events stamped exactly at `deadline` run. Shard clocks
   /// end at `deadline` (run_until semantics). Shard 0 runs on the calling
@@ -216,31 +206,17 @@ class ShardedSimulation {
   [[nodiscard]] std::uint64_t executed_events() const;
   /// Sum of pending (live) events across shards.
   [[nodiscard]] std::size_t pending_events() const;
-  /// Cross-shard events exchanged through post().
-  [[nodiscard]] std::uint64_t posted_events() const;
   /// Windows (barrier rounds) executed by the last run_until.
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
 
  private:
-  struct PostedEvent {
-    SimTime at;
-    std::uint64_t key;       // caller-supplied deterministic tie-break
-    std::uint64_t seq;       // per-(src,dst) push order
-    std::uint32_t src;       // source shard
-    ComponentId component;
-    std::function<void()> fn;
-  };
-
   // Hot per-shard coordination slots, padded so worker threads never
   // false-share a cache line. Everything here is written only by the
   // owning shard's thread (or read across the window barrier).
   struct alignas(64) ShardSlot {
     SimTime next_time = kSimTimeMax;
     SimTime outbound_min = kSimTimeMax;  // earliest cross-shard send
-    std::uint64_t posted_seq = 0;    // per-source push order for posts
-    std::uint64_t posted_total = 0;  // cross-shard posts originated here
     std::exception_ptr error;
-    std::vector<PostedEvent> merge_scratch;  // reused by this shard's merges
   };
 
   // A shard's kernel on cache lines of its own: every event writes its
@@ -250,13 +226,6 @@ class ShardedSimulation {
     Simulation sim;
   };
 
-  // One buffer of cross-shard posts, alone on its cache lines: its
-  // source fills it while other shards drain their own.
-  struct alignas(64) Outbox {
-    std::vector<PostedEvent> events;
-  };
-
-  void merge_posts(std::size_t dst_shard, std::size_t side);
   // Takes in `shard`'s inbound cross-shard work buffered on `side`.
   void exchange(std::size_t shard, std::size_t side);
   // Publishes the earliest time `shard` can act next: its own next event
@@ -275,11 +244,6 @@ class ShardedSimulation {
   ExchangeFn exchange_;
   std::vector<std::unique_ptr<ShardKernel>> sims_;
   std::vector<ShardSlot> slots_;
-  // outbox_[(side * S + src) * S + dst]: cross-shard posts buffered
-  // during a window. Written only by src's thread on write_side_, drained
-  // only by dst's thread on the other side after the barrier — the
-  // barrier and the side flip are the synchronization.
-  std::vector<Outbox> outbox_;
   std::size_t write_side_ = 0;
   bool running_ = false;  // set by the caller around each run
   std::uint64_t windows_ = 0;

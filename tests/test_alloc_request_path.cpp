@@ -1,4 +1,5 @@
-// Allocation gates for the serving request path and CRDT anti-entropy.
+// Allocation gates for the serving request path, CRDT anti-entropy and
+// sharded delivery.
 //
 // After a warm-up that grows every slab and table to its working size, the
 // request path must not touch the heap: kernel events with inline-sized
@@ -6,7 +7,8 @@
 // retries and breaker fail-fasts each make zero allocations, and a
 // ServingFabric window stays at or below one allocation per request. One
 // anti-entropy exchange between converged CrdtStores costs a fixed number
-// of allocations, however many tags their OR-Set has collected.
+// of allocations, however many tags their OR-Set has collected. Delivery
+// on the sharded fabric, cross-shard exchange included, makes none.
 // Counts come from a global operator new (as in bench_scale), so this file
 // is its own test binary.
 #include <gtest/gtest.h>
@@ -21,8 +23,10 @@
 
 #include "data/crdt_store.hpp"
 #include "net/rpc.hpp"
+#include "net/shard_net.hpp"
 #include "net_fixture.hpp"
 #include "obs/slo.hpp"
+#include "sim/sharded.hpp"
 #include "sim/workload/generator.hpp"
 #include "sim/workload/service.hpp"
 
@@ -249,6 +253,34 @@ TEST_F(AllocCrdtTest, ConvergedExchangeCostDoesNotGrowWithTags) {
   // the round draws its pick list. Merging tags both sides already hold
   // allocates nothing.
   EXPECT_LE(at_300, 21u);
+}
+
+struct Ball {};
+
+TEST(AllocShardTest, CrossShardPingPongDeliveryAllocatesNothing) {
+  // Endpoint e plays with e + 32 on another shard; every receipt replies.
+  constexpr std::uint32_t kEndpoints = 64;
+  for (const std::size_t shards : {2u, 4u}) {
+    sim::ShardedSimulation kernel(shards, 11);
+    net::ShardedNetwork fabric(kernel);
+    for (std::uint32_t e = 0; e < kEndpoints; ++e) {
+      fabric.register_endpoint(
+          e * shards / kEndpoints, [&fabric](const net::Message& m) {
+            fabric.send(m.to, m.from, Ball{});
+          });
+    }
+    fabric.set_class_link(0, 0, {sim::millis(2), sim::millis(1), 0.0});
+    fabric.seal();
+    for (std::uint32_t e = 0; e < kEndpoints / 2; ++e) {
+      fabric.send(net::NodeId{e}, net::NodeId{e + kEndpoints / 2}, Ball{});
+    }
+    kernel.run_until(sim::seconds(1));  // warm-up
+    const std::uint64_t delivered = fabric.messages_delivered();
+    const std::uint64_t allocs =
+        allocs_during([&] { kernel.run_until(sim::seconds(3)); });
+    ASSERT_GT(fabric.messages_delivered() - delivered, 20000u);
+    EXPECT_EQ(allocs, 0u) << shards << " shards";
+  }
 }
 
 }  // namespace

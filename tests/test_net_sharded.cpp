@@ -136,7 +136,7 @@ TEST(ShardedNetwork, ZeroLookaheadSameTimestampCrossShardDelivery) {
     const auto& token = m.as<Token>();
     if (token.hops > 0) net.send(m.to, m.from, Token{token.hops - 1});
   });
-  net.set_default_link({sim::kSimTimeZero, sim::kSimTimeZero, 0.0});
+  net.set_class_link(0, 0, {sim::kSimTimeZero, sim::kSimTimeZero, 0.0});
   net.seal();
   EXPECT_EQ(net.lookahead(), sim::kSimTimeZero);
   net.send(a, b, Token{4});
@@ -145,6 +145,107 @@ TEST(ShardedNetwork, ZeroLookaheadSameTimestampCrossShardDelivery) {
   for (const sim::SimTime at : arrivals) EXPECT_EQ(at, sim::kSimTimeZero);
   EXPECT_EQ(net.messages_delivered(), 5u);
   EXPECT_GE(kernel.windows(), 5u);
+}
+
+TEST(ShardedNetwork, CrossShardSendExecutesOnTarget) {
+  sim::ShardedSimulation kernel(2, 7);
+  ShardedNetwork net(kernel);
+  int landed = 0;                              // written by shard 1
+  sim::SimTime landed_at = sim::kSimTimeZero;  // written by shard 1
+  const NodeId a = net.register_endpoint(0, [](const Message&) {});
+  const NodeId b = net.register_endpoint(1, [&](const Message&) {
+    ++landed;
+    landed_at = kernel.shard(1).now();
+  });
+  net.set_class_link(0, 0, {sim::millis(1), sim::kSimTimeZero, 0.0});
+  net.seal();
+  kernel.shard(0).schedule_at(sim::millis(5),
+                              [&net, a, b] { net.send(a, b, Token{}); });
+  kernel.run_until(sim::millis(50));
+  EXPECT_EQ(landed, 1);
+  EXPECT_EQ(landed_at, sim::millis(6));
+  EXPECT_EQ(net.messages_cross_shard(), 1u);
+}
+
+TEST(ShardedNetwork, SameTimestampSendsOrderedByIdNotArrival) {
+  // Senders on shards 1 and 2 each send two messages to one endpoint on
+  // shard 0, all due at 10 ms. The receiver must see them in message-id
+  // order, whatever order the workers ran in. The shard-2 sender registers
+  // first, so id order is not source-shard order either.
+  sim::ShardedSimulation kernel(3, 9);
+  ShardedNetwork net(kernel);
+  std::vector<std::uint64_t> order;  // written only by shard 0's worker
+  const NodeId sink = net.register_endpoint(
+      0, [&order](const Message& m) { order.push_back(m.id); });
+  const NodeId on2 = net.register_endpoint(2, [](const Message&) {});
+  const NodeId on1 = net.register_endpoint(1, [](const Message&) {});
+  net.set_class_link(0, 0, {sim::millis(8), sim::kSimTimeZero, 0.0});
+  net.seal();
+  for (const NodeId from : {on1, on2}) {
+    kernel.shard(net.shard_of(from))
+        .schedule_at(sim::millis(2), [&net, from, sink] {
+          net.send(from, sink, Token{});
+          net.send(from, sink, Token{});
+        });
+  }
+  kernel.run_until(sim::millis(50));
+  // Message ids are (sender << 32 | sender sequence).
+  const auto id = [](NodeId sender, std::uint64_t seq) {
+    return (std::uint64_t{sender.value} << 32) | seq;
+  };
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{id(on2, 0), id(on2, 1),
+                                               id(on1, 0), id(on1, 1)}));
+}
+
+TEST(ShardedNetwork, CrossShardWorkCarriesIntoTheNextRun) {
+  sim::ShardedSimulation kernel(3, 4);
+  ShardedNetwork net(kernel);
+  sim::SimTime at0 = sim::kSimTimeZero;  // written by shard 0
+  sim::SimTime at1 = sim::kSimTimeZero;  // written by shard 1
+  const NodeId a = net.register_endpoint(
+      0, [&](const Message&) { at0 = kernel.shard(0).now(); });
+  const NodeId b = net.register_endpoint(
+      1, [&](const Message&) { at1 = kernel.shard(1).now(); });
+  const NodeId c = net.register_endpoint(2, [](const Message&) {});
+  net.set_class_link(0, 0, {sim::millis(5), sim::kSimTimeZero, 0.0});
+  net.seal();
+  // Sent inside the first run, due after its deadline.
+  kernel.shard(0).schedule_at(sim::millis(9),
+                              [&net, a, b] { net.send(a, b, Token{}); });
+  kernel.run_until(sim::millis(10));
+  EXPECT_EQ(kernel.executed_events(), 1u);
+  EXPECT_EQ(kernel.pending_events(), 1u);  // already on shard 1's queue
+  // Sent between runs from shard 2's endpoint: no window is open, so it
+  // goes straight onto shard 0's queue.
+  net.send(c, a, Token{});
+  EXPECT_EQ(kernel.pending_events(), 2u);
+  kernel.run_until(sim::millis(20));
+  EXPECT_EQ(at1, sim::millis(14));
+  EXPECT_EQ(at0, sim::millis(15));
+  EXPECT_EQ(kernel.executed_events(), 3u);
+  kernel.run_until(sim::millis(30));  // nothing left: no window opens
+  EXPECT_EQ(kernel.windows(), 0u);
+  EXPECT_EQ(kernel.shard(2).now(), sim::millis(30));
+}
+
+TEST(ShardedNetwork, SendsStrandedByAFailedRunLandInTheNextRun) {
+  sim::ShardedSimulation kernel(3, 6);
+  ShardedNetwork net(kernel);
+  sim::SimTime landed = sim::kSimTimeZero;  // written by shard 1
+  const NodeId a = net.register_endpoint(0, [](const Message&) {});
+  const NodeId b = net.register_endpoint(
+      1, [&](const Message&) { landed = kernel.shard(1).now(); });
+  net.set_class_link(0, 0, {sim::millis(3), sim::kSimTimeZero, 0.0});
+  net.seal();
+  kernel.shard(0).schedule_at(sim::millis(5),
+                              [&net, a, b] { net.send(a, b, Token{}); });
+  kernel.shard(2).schedule_at(sim::millis(5), [] {
+    throw std::runtime_error("boom on shard 2");
+  });
+  EXPECT_THROW(kernel.run_until(sim::millis(20)), std::runtime_error);
+  EXPECT_EQ(landed, sim::kSimTimeZero);
+  kernel.run_until(sim::millis(20));
+  EXPECT_EQ(landed, sim::millis(8));
 }
 
 TEST(ShardedNetwork, DownEndpointDropsAtDelivery) {
@@ -170,11 +271,6 @@ TEST(ShardedNetwork, ShardPlacement) {
   ShardedNetwork net(kernel);
   const NodeId x = net.register_endpoint(2, [](const Message&) {});
   EXPECT_EQ(net.shard_of(x), 2u);
-  // Round-robin overload cycles shards in registration order.
-  const NodeId r0 = net.register_endpoint([](const Message&) {});
-  const NodeId r1 = net.register_endpoint([](const Message&) {});
-  EXPECT_EQ(net.shard_of(r0), 1u);
-  EXPECT_EQ(net.shard_of(r1), 2u);
   EXPECT_THROW(net.register_endpoint(3, [](const Message&) {}),
                std::out_of_range);
 }
@@ -182,11 +278,15 @@ TEST(ShardedNetwork, ShardPlacement) {
 TEST(ShardedNetwork, RegistrationSealedAfterSeal) {
   sim::ShardedSimulation kernel(2, 1);
   ShardedNetwork net(kernel);
-  net.register_endpoint(0, [](const Message&) {});
+  const NodeId a = net.register_endpoint(0, [](const Message&) {});
   net.seal();
+  // Every shard reads the routes, the class table and the ambient loss, so
+  // none of them may change once the run can start.
   EXPECT_THROW(net.register_endpoint(0, [](const Message&) {}),
                std::logic_error);
   EXPECT_THROW(net.set_class_link(0, 1, {}), std::logic_error);
+  EXPECT_THROW(net.set_endpoint_class(a, 1), std::logic_error);
+  EXPECT_THROW(net.set_ambient_loss(0.5), std::logic_error);
 }
 
 }  // namespace
