@@ -33,8 +33,8 @@
 // and its hash is recorded as hex text in the report's config
 // (`sharded_hash_<population>`), so other commits can be compared with it.
 // Parallel speedup floors (--min-shard-speedup) only apply when the host
-// actually has the cores (hardware_concurrency >= shards); the `cpus`
-// config field records what the numbers were measured on.
+// actually has the cores (hardware_concurrency >= shards); the report's
+// `host` object records what the numbers were measured on.
 //
 // Usage:
 //   bench_scale                      # full run: 1k/5k/10k, 60 simulated s
@@ -580,7 +580,6 @@ int main(int argc, char** argv) {
   }
   // --- sharded ladder -------------------------------------------------------
   const unsigned cpus = std::thread::hardware_concurrency();
-  report.config("cpus", static_cast<double>(cpus));
   for (const std::size_t population : sharded_populations) {
     // Keep the 100k rung's wall time in check: half the simulated window.
     const double sharded_s = population >= 100000 ? 1.0 : 2.0;

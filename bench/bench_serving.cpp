@@ -347,8 +347,11 @@ int main(int argc, char** argv) {
                     static_cast<double>(s.shed_full));
       report.metric(prefix + "_shed_expired",
                     static_cast<double>(s.shed_expired));
-      report.metric(prefix + "_trace_hash",
-                    static_cast<double>(s.trace_hash));
+      // As hex text: a JSON double cannot hold all 64 bits.
+      char hash_hex[17];
+      std::snprintf(hash_hex, sizeof hash_hex, "%016llx",
+                    static_cast<unsigned long long>(s.trace_hash));
+      report.config(prefix + "_trace_hash", hash_hex);
 
       if (rung.closed) {
         // Closed-loop floor: session users self-throttle, so healthy

@@ -9,9 +9,11 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -75,6 +77,14 @@ class BenchReport {
     w.begin_object();
     w.kv("name", name_);
     w.kv("schema", "riot-bench-v1");
+    // What the numbers were measured on; the compiler and build type come
+    // from bench/CMakeLists.txt.
+    w.key("host");
+    w.begin_object();
+    w.kv("cpus", std::uint64_t{std::thread::hardware_concurrency()});
+    w.kv("compiler", RIOT_BENCH_COMPILER);
+    w.kv("build_type", RIOT_BENCH_BUILD_TYPE);
+    w.end_object();
     w.key("config");
     w.begin_object();
     for (const auto& [k, v] : config_) w.kv(k, v);

@@ -30,6 +30,11 @@ ShardedNetwork::ShardedNetwork(sim::ShardedSimulation& kernel)
     ss.component = kernel.shard(i).component_id("net");
     ss.outbox.resize(2 * shards_.size());
   }
+  // Installed here, not by seal(): a fabric that is never sealed still
+  // buffers cross-shard sends, and only this hook drains them.
+  kernel_.set_exchange([this](std::size_t dst, std::size_t side) {
+    merge_inbound(dst, side);
+  });
 }
 
 void ShardedNetwork::check_unsealed(const char* what) const {
@@ -104,9 +109,6 @@ void ShardedNetwork::seal() {
   }
   lookahead_ = min_latency;
   kernel_.set_lookahead(lookahead_);
-  kernel_.set_exchange([this](std::size_t dst, std::size_t side) {
-    merge_inbound(dst, side);
-  });
   sealed_ = true;
 }
 

@@ -66,10 +66,9 @@ class ShardedNetwork {
   /// change would be observed at different windows on different shards).
   void set_ambient_loss(double loss);
 
-  /// Freeze topology: derive the kernel lookahead (minimum base latency
+  /// Freeze topology and derive the kernel lookahead (minimum base latency
   /// any cross-shard message can draw, from the class cells reachable by
-  /// registered endpoints) and install the exchange hook. Call once,
-  /// before the first run.
+  /// registered endpoints). Call once, before the first run.
   void seal();
 
   /// Send a typed payload. Returns the message id, 0 if the sender is

@@ -536,48 +536,138 @@ std::optional<ChaosSchedule> schedule_from_json(std::string_view json,
 
 namespace {
 
-/// Shared execution state for every window a schedule installs, so that
-/// overlapping or handcrafted schedules can never double-apply a crash or
-/// heal a disruption another window still owns.
-///
-/// Crash/isolate windows are per-node reference counts (the node stays
-/// down until the last window ends). Partition, global-knob and clock-skew
-/// windows keep *active-window stacks* of (window id, payload): a revert
-/// removes its own entry and, when another window is still active,
-/// re-applies that window's payload instead of resetting to the healthy
-/// state — so an inner loss window ending restores the outer window's
-/// magnitude, and an inner partition ending restores the outer layout.
-struct ExecState {
-  std::vector<std::uint32_t> crash_depth;
-  std::vector<std::uint32_t> isolate_depth;
-  std::uint64_t next_window = 0;
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>> partitions;
-  std::vector<std::pair<std::uint64_t, double>> loss;
-  std::vector<std::pair<std::uint64_t, double>> delay;
-  std::vector<std::pair<std::uint64_t, double>> duplicate;
-  std::vector<std::vector<std::pair<std::uint64_t, SimTime>>> skew;  // per node
-  // Byzantine knobs, one stack per node (flip-flop shares `falsify`).
-  std::vector<std::vector<std::pair<std::uint64_t, double>>> falsify;
-  std::vector<std::vector<std::pair<std::uint64_t, double>>> sdrop;
-  std::vector<std::vector<std::pair<std::uint64_t, double>>> inflate;
+/// One window install_schedule planned: the knob it holds, which is its
+/// kind on its node (0 for global kinds), and what it sets the knob to.
+/// A flip-flop plans one kFalsify window per on-phase.
+struct PlannedWindow {
+  ActionKind kind;
+  std::uint32_t node;
+  double magnitude;
+  std::vector<std::uint32_t> group;  // kPartition only
 };
 
-template <typename Payload>
-bool erase_window(std::vector<std::pair<std::uint64_t, Payload>>& stack,
-                  std::uint64_t id) {
-  const auto it =
-      std::find_if(stack.begin(), stack.end(),
-                   [id](const auto& entry) { return entry.first == id; });
-  if (it == stack.end()) return false;
-  stack.erase(it);
-  return true;
-}
+/// The one owner of a schedule's window state. Every knob (node 3's crash,
+/// the global loss probability, node 1's falsify probability, ...) keeps
+/// the windows open on it, oldest first. open() applies a window; close()
+/// drops it and hands the knob to the newest window still open on it, or
+/// back to healthy when none is. So overlapping or handcrafted windows
+/// never double-apply a crash or heal a disruption another window still
+/// holds: a node stays down until its last crash window ends, and an inner
+/// loss or partition window ending restores the outer window's magnitude
+/// or layout.
+struct InstalledWindows {
+  InstalledWindows(ChaosHooks hooks, std::size_t nodes)
+      : hooks(std::move(hooks)),
+        nodes(nodes),
+        open_windows(kAllActionKinds.size() * nodes) {}
 
-template <typename Payload>
-bool window_active(const std::vector<std::pair<std::uint64_t, Payload>>& stack,
-                   std::uint64_t id) {
-  return std::any_of(stack.begin(), stack.end(),
-                     [id](const auto& entry) { return entry.first == id; });
+  std::vector<std::size_t>& open_on(ActionKind kind, std::uint32_t node) {
+    return open_windows[static_cast<std::size_t>(kind) * nodes + node];
+  }
+
+  void open(std::size_t w) {
+    const PlannedWindow& window = windows[w];
+    std::vector<std::size_t>& on = open_on(window.kind, window.node);
+    on.push_back(w);
+    switch (window.kind) {
+      case ActionKind::kCrash:
+        if (on.size() == 1) hooks.crash_node(window.node);
+        break;
+      case ActionKind::kIsolate:
+        if (on.size() == 1) hooks.isolate(window.node);
+        break;
+      case ActionKind::kPartition:
+        hooks.partition(window.group);  // the newest layout wins
+        break;
+      default:
+        set_knob(window, window.magnitude);
+        break;
+    }
+  }
+
+  void close(std::size_t w) {
+    const PlannedWindow& window = windows[w];
+    std::vector<std::size_t>& on = open_on(window.kind, window.node);
+    on.erase(std::find(on.begin(), on.end(), w));
+    const PlannedWindow* newest = on.empty() ? nullptr : &windows[on.back()];
+    switch (window.kind) {
+      case ActionKind::kCrash:
+        if (newest == nullptr && hooks.restart_node) {
+          hooks.restart_node(window.node);
+        }
+        break;
+      case ActionKind::kIsolate:
+        if (newest == nullptr && hooks.unisolate) hooks.unisolate(window.node);
+        break;
+      case ActionKind::kPartition:
+        if (newest != nullptr) {
+          hooks.partition(newest->group);
+          break;
+        }
+        if (hooks.heal) hooks.heal();
+        // A heal typically resets *all* topology state, including
+        // isolation owned by still-open isolate windows: re-assert it.
+        if (hooks.isolate) {
+          for (std::uint32_t n = 0; n < nodes; ++n) {
+            if (!open_on(ActionKind::kIsolate, n).empty()) hooks.isolate(n);
+          }
+        }
+        break;
+      default: {
+        // Latency factors are healthy at 1, probabilities and skew at 0.
+        const bool factor = window.kind == ActionKind::kDelay ||
+                            window.kind == ActionKind::kDelayInflate;
+        set_knob(window, newest != nullptr ? newest->magnitude
+                                           : (factor ? 1.0 : 0.0));
+        break;
+      }
+    }
+  }
+
+  void set_knob(const PlannedWindow& window, double value) {
+    switch (window.kind) {
+      case ActionKind::kLoss: hooks.ambient_loss(value); break;
+      case ActionKind::kDelay: hooks.latency_factor(value); break;
+      case ActionKind::kDuplicate: hooks.duplicate(value); break;
+      case ActionKind::kClockSkew:
+        hooks.clock_skew(window.node, seconds_f(value));
+        break;
+      case ActionKind::kFalsify: hooks.falsify(window.node, value); break;
+      case ActionKind::kSelectiveDrop:
+        hooks.selective_drop(window.node, value);
+        break;
+      case ActionKind::kDelayInflate:
+        hooks.delay_inflate(window.node, value);
+        break;
+      default: break;
+    }
+  }
+
+  ChaosHooks hooks;
+  std::size_t nodes;
+  std::vector<PlannedWindow> windows;
+  // Indexed by kind * nodes + node.
+  std::vector<std::vector<std::size_t>> open_windows;
+};
+
+/// Whether the scenario bound the hook that applies `kind`.
+bool is_bound(const ChaosHooks& hooks, ActionKind kind) {
+  switch (kind) {
+    case ActionKind::kCrash: return static_cast<bool>(hooks.crash_node);
+    case ActionKind::kPartition: return static_cast<bool>(hooks.partition);
+    case ActionKind::kIsolate: return static_cast<bool>(hooks.isolate);
+    case ActionKind::kLoss: return static_cast<bool>(hooks.ambient_loss);
+    case ActionKind::kDelay: return static_cast<bool>(hooks.latency_factor);
+    case ActionKind::kDuplicate: return static_cast<bool>(hooks.duplicate);
+    case ActionKind::kClockSkew: return static_cast<bool>(hooks.clock_skew);
+    case ActionKind::kFalsify:
+    case ActionKind::kFlipFlop: return static_cast<bool>(hooks.falsify);
+    case ActionKind::kSelectiveDrop:
+      return static_cast<bool>(hooks.selective_drop);
+    case ActionKind::kDelayInflate:
+      return static_cast<bool>(hooks.delay_inflate);
+  }
+  return false;
 }
 
 std::string action_name(const ChaosAction& action) {
@@ -600,242 +690,59 @@ std::string action_name(const ChaosAction& action) {
 
 std::size_t install_schedule(const ChaosSchedule& schedule,
                              FaultInjector& injector, ChaosHooks hooks) {
-  auto hooks_ptr = std::make_shared<ChaosHooks>(std::move(hooks));
-  auto state = std::make_shared<ExecState>();
   const std::size_t nodes = std::max<std::size_t>(schedule.node_count, 1);
-  state->crash_depth.assign(nodes, 0);
-  state->isolate_depth.assign(nodes, 0);
-  state->skew.assign(nodes, {});
-  state->falsify.assign(nodes, {});
-  state->sdrop.assign(nodes, {});
-  state->inflate.assign(nodes, {});
-
-  // Global-knob windows share one shape: apply pushes (id, magnitude) and
-  // sets the knob; revert pops its own entry and restores the next active
-  // window's magnitude, or the healthy value when none remains.
-  auto knob_window = [&](std::vector<std::pair<std::uint64_t, double>>
-                             ExecState::*stack,
-                         std::function<void(double)> ChaosHooks::*hook,
-                         double healthy, double magnitude,
-                         std::function<void()>& apply,
-                         std::function<void()>& revert,
-                         std::function<bool()>& guard) {
-    auto id = std::make_shared<std::uint64_t>(0);
-    apply = [hooks_ptr, state, stack, hook, magnitude, id] {
-      *id = ++state->next_window;
-      ((*state).*stack).emplace_back(*id, magnitude);
-      ((*hooks_ptr).*hook)(magnitude);
-    };
-    guard = [state, stack, id] { return window_active((*state).*stack, *id); };
-    revert = [hooks_ptr, state, stack, hook, healthy, id] {
-      auto& windows = (*state).*stack;
-      if (!erase_window(windows, *id)) return;
-      ((*hooks_ptr).*hook)(windows.empty() ? healthy
-                                           : windows.back().second);
-    };
+  auto state = std::make_shared<InstalledWindows>(std::move(hooks), nodes);
+  // Plans window `window` over [start, start + length): its apply opens it
+  // and its revert closes it.
+  const auto plan = [&](const std::string& name, SimTime start,
+                        SimTime length, const PlannedWindow& window,
+                        int revert_phase) {
+    const std::size_t w = state->windows.size();
+    state->windows.push_back(window);
+    injector.plan(PlannedFault{
+        start, length,
+        Disruption{name, [state, w] { state->open(w); },
+                   [state, w] { state->close(w); }, revert_phase}});
   };
-
-  // Per-node variant of the same shape, for the Byzantine knobs (falsify
-  // probability, selective-drop probability, latency-inflation factor).
-  auto node_knob_window =
-      [&](std::vector<std::vector<std::pair<std::uint64_t, double>>>
-              ExecState::*stack,
-          std::function<void(std::uint32_t, double)> ChaosHooks::*hook,
-          double healthy, std::uint32_t node, double magnitude,
-          std::function<void()>& apply, std::function<void()>& revert,
-          std::function<bool()>& guard) {
-        auto id = std::make_shared<std::uint64_t>(0);
-        apply = [hooks_ptr, state, stack, hook, node, magnitude, id] {
-          *id = ++state->next_window;
-          ((*state).*stack)[node].emplace_back(*id, magnitude);
-          ((*hooks_ptr).*hook)(node, magnitude);
-        };
-        guard = [state, stack, node, id] {
-          return window_active(((*state).*stack)[node], *id);
-        };
-        revert = [hooks_ptr, state, stack, hook, healthy, node, id] {
-          auto& windows = ((*state).*stack)[node];
-          if (!erase_window(windows, *id)) return;
-          ((*hooks_ptr).*hook)(
-              node, windows.empty() ? healthy : windows.back().second);
-        };
-      };
 
   std::size_t installed = 0;
   for (const ChaosAction& action : schedule.actions) {
-    const std::string name = action_name(action);
-    std::function<void()> apply;
-    std::function<void()> revert;
-    std::function<bool()> guard;
-    // Topology and knob reverts run before node restarts landing on the
-    // same instant (FaultInjector drains same-instant reverts in phase
-    // order), so a restarted node never sends into a stale layout.
-    int revert_phase = 0;
-
-    switch (action.kind) {
-      case ActionKind::kCrash: {
-        if (!hooks_ptr->crash_node || action.targets.empty()) break;
-        const std::uint32_t node = action.targets[0] % nodes;
-        apply = [hooks_ptr, state, node] {
-          if (++state->crash_depth[node] == 1) hooks_ptr->crash_node(node);
-        };
-        guard = [state, node] { return state->crash_depth[node] > 0; };
-        revert = [hooks_ptr, state, node] {
-          if (--state->crash_depth[node] == 0 && hooks_ptr->restart_node) {
-            hooks_ptr->restart_node(node);
-          }
-        };
-        revert_phase = 1;
-        break;
-      }
-      case ActionKind::kIsolate: {
-        if (!hooks_ptr->isolate || action.targets.empty()) break;
-        const std::uint32_t node = action.targets[0] % nodes;
-        apply = [hooks_ptr, state, node] {
-          if (++state->isolate_depth[node] == 1) hooks_ptr->isolate(node);
-        };
-        guard = [state, node] { return state->isolate_depth[node] > 0; };
-        revert = [hooks_ptr, state, node] {
-          if (--state->isolate_depth[node] == 0 && hooks_ptr->unisolate) {
-            hooks_ptr->unisolate(node);
-          }
-        };
-        break;
-      }
-      case ActionKind::kPartition: {
-        if (!hooks_ptr->partition || action.targets.empty()) break;
-        const std::vector<std::uint32_t> group = action.targets;
-        auto id = std::make_shared<std::uint64_t>(0);
-        apply = [hooks_ptr, state, group, id] {
-          *id = ++state->next_window;
-          state->partitions.emplace_back(*id, group);
-          hooks_ptr->partition(group);  // most recent layout wins
-        };
-        guard = [state, id] { return window_active(state->partitions, *id); };
-        revert = [hooks_ptr, state, id] {
-          if (!erase_window(state->partitions, *id)) return;
-          if (!state->partitions.empty()) {
-            // An outer partition window is still open: restore its layout
-            // instead of healing the world out from under it.
-            hooks_ptr->partition(state->partitions.back().second);
-            return;
-          }
-          if (hooks_ptr->heal) hooks_ptr->heal();
-          // A heal typically resets *all* topology state, including
-          // isolation owned by still-open isolate windows — re-assert it
-          // so those windows keep what they claimed.
-          if (hooks_ptr->isolate) {
-            for (std::size_t n = 0; n < state->isolate_depth.size(); ++n) {
-              if (state->isolate_depth[n] > 0) {
-                hooks_ptr->isolate(static_cast<std::uint32_t>(n));
-              }
-            }
-          }
-        };
-        break;
-      }
-      case ActionKind::kLoss: {
-        if (!hooks_ptr->ambient_loss) break;
-        knob_window(&ExecState::loss, &ChaosHooks::ambient_loss, 0.0,
-                    action.magnitude, apply, revert, guard);
-        break;
-      }
-      case ActionKind::kDelay: {
-        if (!hooks_ptr->latency_factor) break;
-        knob_window(&ExecState::delay, &ChaosHooks::latency_factor, 1.0,
-                    action.magnitude, apply, revert, guard);
-        break;
-      }
-      case ActionKind::kDuplicate: {
-        if (!hooks_ptr->duplicate) break;
-        knob_window(&ExecState::duplicate, &ChaosHooks::duplicate, 0.0,
-                    action.magnitude, apply, revert, guard);
-        break;
-      }
-      case ActionKind::kClockSkew: {
-        if (!hooks_ptr->clock_skew || action.targets.empty()) break;
-        const std::uint32_t node = action.targets[0] % nodes;
-        const SimTime skew = seconds_f(action.magnitude);
-        auto id = std::make_shared<std::uint64_t>(0);
-        apply = [hooks_ptr, state, node, skew, id] {
-          *id = ++state->next_window;
-          state->skew[node].emplace_back(*id, skew);
-          hooks_ptr->clock_skew(node, skew);
-        };
-        guard = [state, node, id] {
-          return window_active(state->skew[node], *id);
-        };
-        revert = [hooks_ptr, state, node, id] {
-          auto& windows = state->skew[node];
-          if (!erase_window(windows, *id)) return;
-          hooks_ptr->clock_skew(
-              node, windows.empty() ? kSimTimeZero : windows.back().second);
-        };
-        break;
-      }
-      case ActionKind::kFalsify: {
-        if (!hooks_ptr->falsify || action.targets.empty()) break;
-        const std::uint32_t node = action.targets[0] % nodes;
-        node_knob_window(&ExecState::falsify, &ChaosHooks::falsify, 0.0, node,
-                         action.magnitude, apply, revert, guard);
-        break;
-      }
-      case ActionKind::kSelectiveDrop: {
-        if (!hooks_ptr->selective_drop || action.targets.empty()) break;
-        const std::uint32_t node = action.targets[0] % nodes;
-        node_knob_window(&ExecState::sdrop, &ChaosHooks::selective_drop, 0.0,
-                         node, action.magnitude, apply, revert, guard);
-        break;
-      }
-      case ActionKind::kDelayInflate: {
-        if (!hooks_ptr->delay_inflate || action.targets.empty()) break;
-        const std::uint32_t node = action.targets[0] % nodes;
-        node_knob_window(&ExecState::inflate, &ChaosHooks::delay_inflate, 1.0,
-                         node, action.magnitude, apply, revert, guard);
-        break;
-      }
-      case ActionKind::kFlipFlop: {
-        if (!hooks_ptr->falsify || action.targets.empty()) break;
-        const std::uint32_t node = action.targets[0] % nodes;
-        // Expand into alternating falsify-on windows (bad for one phase,
-        // honest for the next, three on-phases per action); durations too
-        // short to slice degrade to one solid falsify window. Each
-        // on-window rides the shared per-node falsify stack, so flip-flop
-        // composes with plain falsify windows of the same node.
-        const SimTime phase = action.duration / 6;
-        std::vector<std::pair<SimTime, SimTime>> on;
-        if (phase > kSimTimeZero) {
-          on = {{action.at, phase},
-                {action.at + 2 * phase, phase},
-                {action.at + 4 * phase, action.duration - 5 * phase}};
-        } else {
-          on = {{action.at, action.duration}};
-        }
-        for (const auto& [start, length] : on) {
-          std::function<void()> w_apply;
-          std::function<void()> w_revert;
-          std::function<bool()> w_guard;
-          node_knob_window(&ExecState::falsify, &ChaosHooks::falsify, 0.0,
-                           node, action.magnitude, w_apply, w_revert, w_guard);
-          injector.plan(PlannedFault{
-              start, length,
-              Disruption{name, std::move(w_apply), std::move(w_revert),
-                         std::move(w_guard), 0}});
-        }
-        ++installed;
-        continue;  // planned its own windows above
-      }
+    const bool global_knob = action.kind == ActionKind::kLoss ||
+                             action.kind == ActionKind::kDelay ||
+                             action.kind == ActionKind::kDuplicate;
+    // A kind whose hook is unbound is not modelled by this scenario.
+    if (!is_bound(state->hooks, action.kind) ||
+        (!global_knob && action.targets.empty())) {
+      continue;
     }
-
-    if (!apply) continue;  // kind not modelled by this scenario
-    if (action.duration > kSimTimeZero) {
-      injector.plan(PlannedFault{
-          action.at, action.duration,
-          Disruption{name, std::move(apply), std::move(revert),
-                     std::move(guard), revert_phase}});
+    const bool per_node = !global_knob && action.kind != ActionKind::kPartition;
+    const auto node =
+        per_node ? static_cast<std::uint32_t>(action.targets[0] % nodes) : 0u;
+    PlannedWindow window{action.kind, node, action.magnitude, {}};
+    if (action.kind == ActionKind::kPartition) window.group = action.targets;
+    const std::string name = action_name(action);
+    if (action.kind == ActionKind::kFlipFlop) {
+      // Alternating falsify-on windows (bad for one phase, honest for the
+      // next, three on-phases per action); durations too short to slice
+      // degrade to one solid falsify window. The on-windows hold the
+      // node's falsify knob like plain falsify windows do, so the two
+      // compose.
+      window.kind = ActionKind::kFalsify;
+      const SimTime phase = action.duration / 6;
+      if (phase > kSimTimeZero) {
+        plan(name, action.at, phase, window, 0);
+        plan(name, action.at + 2 * phase, phase, window, 0);
+        plan(name, action.at + 4 * phase, action.duration - 5 * phase, window,
+             0);
+      } else {
+        plan(name, action.at, action.duration, window, 0);
+      }
     } else {
-      injector.plan(PlannedFault{action.at, kSimTimeZero,
-                                 Disruption{name, std::move(apply), {}, {}}});
+      // Topology and knob reverts run before node restarts landing on the
+      // same instant (FaultInjector drains same-instant reverts in phase
+      // order), so a restarted node never sends into a stale layout.
+      plan(name, action.at, action.duration, window,
+           action.kind == ActionKind::kCrash ? 1 : 0);
     }
     ++installed;
   }

@@ -167,14 +167,16 @@ struct ChaosHooks {
   std::function<void(std::uint32_t node, double factor)> delay_inflate;  // 1
 };
 
-/// Install every schedule action into `injector` as guarded windowed
-/// disruptions (call FaultInjector::arm() afterwards). Even for
-/// handcrafted, overlapping schedules the wiring is safe: crash/isolate
-/// depths are reference-counted per node; partition, global-knob and
-/// clock-skew windows keep active-window stacks, so an inner window's
-/// revert restores the outer window's layout/magnitude instead of healing
-/// the world out from under it (and a heal re-asserts isolation that
-/// still-open isolate windows own). Reverts landing on one simulation
+/// Install every schedule action into `injector` as windowed disruptions
+/// (call FaultInjector::arm() afterwards). One object, shared by the
+/// installed windows, owns their state: every knob (a node's crash,
+/// isolation, skew and Byzantine knobs; the partition layout; the three
+/// global knobs) keeps the windows open on it; a window's apply opens it
+/// and its revert closes it. So even handcrafted, overlapping schedules are
+/// safe: a node restarts only when its last crash window ends, an inner
+/// window's revert restores the outer window's layout or magnitude instead
+/// of healing the world out from under it, and a heal re-asserts isolation
+/// that still-open isolate windows hold. Reverts landing on one simulation
 /// instant drain topology-first, restarts-last (Disruption::revert_phase),
 /// so a node restarting exactly when a partition heals rejoins the healed
 /// topology, never the pre-heal groups. Returns the number of actions

@@ -1,7 +1,6 @@
 #include "sim/fault.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -23,11 +22,10 @@ void FaultInjector::plan_at(SimTime at, std::string name,
 void FaultInjector::plan_window(SimTime start, SimTime duration,
                                 std::string name,
                                 std::function<void()> apply,
-                                std::function<void()> revert,
-                                std::function<bool()> revert_guard) {
+                                std::function<void()> revert) {
   plan(PlannedFault{start, duration,
                     Disruption{std::move(name), std::move(apply),
-                               std::move(revert), std::move(revert_guard)}});
+                               std::move(revert)}});
 }
 
 void FaultInjector::plan_poisson(SimTime first_after, SimTime until,
@@ -48,74 +46,55 @@ void FaultInjector::plan_poisson(SimTime first_after, SimTime until,
 
 void FaultInjector::arm() {
   for (; armed_ < plan_.size(); ++armed_) {
-    // Index-based capture: plan_ may still grow, but entries are stable
-    // because we only push_back and fire() takes the entry by index.
     const std::size_t i = armed_;
-    sim_.schedule_at(plan_[i].start, [this, i] { fire(plan_[i]); });
+    sim_.schedule_at(plan_[i].start, [this, i] { fire(i); });
   }
 }
 
-void FaultInjector::fire(const PlannedFault& fault) {
+void FaultInjector::invoke(const std::string& name,
+                           const std::function<void()>& body) {
+  if (wrapper_) {
+    wrapper_(name, body);
+  } else {
+    body();
+  }
+}
+
+void FaultInjector::fire(std::size_t entry) {
+  const PlannedFault& fault = plan_[entry];
   ++injected_;
   trace_.event("fault", "inject").warn().detail(fault.disruption.name);
-  if (wrapper_) {
-    wrapper_(fault.disruption.name, fault.disruption.apply);
-  } else {
-    fault.disruption.apply();
-  }
-  if (fault.duration > kSimTimeZero && fault.disruption.revert) {
-    // Copy what we need; the plan entry may move if the vector grows. The
-    // shared flag makes the revert at-most-once and the guard lets it
-    // abstain when the disrupted subject was independently re-disrupted
-    // (e.g. the node this window crashed got crashed again — reverting
-    // would resurrect a node another fault believes is down). The revert
-    // itself is not executed inline: it joins the same-instant batch that
-    // drain_reverts() runs in phase order, so windows ending together
-    // revert topology (heals, knob restores) before node state (restarts)
-    // no matter which window was armed or fired first.
-    auto revert = fault.disruption.revert;
-    auto guard = fault.disruption.revert_guard;
-    auto name = fault.disruption.name;
-    const int phase = fault.disruption.revert_phase;
-    auto reverted = std::make_shared<bool>(false);
-    sim_.schedule_after(fault.duration, [this, revert = std::move(revert),
-                                         guard = std::move(guard),
-                                         name = std::move(name), phase,
-                                         reverted] {
-      if (*reverted) return;
-      *reverted = true;
-      pending_reverts_.push_back(PendingRevert{phase, name, revert, guard});
-      if (!drain_scheduled_) {
-        drain_scheduled_ = true;
-        // Same-instant events run FIFO by insertion, so this drain runs
-        // after every revert timer already queued for this instant has
-        // appended its entry.
-        sim_.schedule_at(sim_.now(), [this] { drain_reverts(); });
-      }
-    });
-  }
+  invoke(fault.disruption.name, fault.disruption.apply);
+  if (fault.duration <= kSimTimeZero || !fault.disruption.revert) return;
+  // The revert is not executed inline: it joins the same-instant batch
+  // that drain_reverts() runs in phase order, so windows ending together
+  // revert topology (heals, knob restores) before node state (restarts)
+  // no matter which window was armed or fired first.
+  sim_.schedule_after(fault.duration, [this, entry] {
+    pending_reverts_.push_back(entry);
+    if (!drain_scheduled_) {
+      drain_scheduled_ = true;
+      // Same-instant events run FIFO by insertion, so this drain runs
+      // after every revert timer already queued for this instant has
+      // appended its entry.
+      sim_.schedule_at(sim_.now(), [this] { drain_reverts(); });
+    }
+  });
 }
 
 void FaultInjector::drain_reverts() {
   drain_scheduled_ = false;
-  std::vector<PendingRevert> batch = std::move(pending_reverts_);
+  std::vector<std::size_t> batch = std::move(pending_reverts_);
   pending_reverts_.clear();
   std::stable_sort(batch.begin(), batch.end(),
-                   [](const PendingRevert& a, const PendingRevert& b) {
-                     return a.phase < b.phase;
+                   [this](std::size_t a, std::size_t b) {
+                     return plan_[a].disruption.revert_phase <
+                            plan_[b].disruption.revert_phase;
                    });
-  for (PendingRevert& r : batch) {
-    if (r.guard && !r.guard()) {
-      ++reverts_skipped_;
-      trace_.event("fault", "revert_skipped").warn().detail(r.name);
-      continue;
-    }
-    trace_.event("fault", "revert").detail(r.name);
-    if (wrapper_) {
-      wrapper_(r.name, r.revert);
-    } else {
-      r.revert();
-    }
+  for (const std::size_t entry : batch) {
+    const Disruption& disruption = plan_[entry].disruption;
+    trace_.event("fault", "revert").detail(disruption.name);
+    invoke(disruption.name, disruption.revert);
   }
 }
 

@@ -7,13 +7,17 @@
 // reproducible schedule of actions against hooks registered by the upper
 // layers (network, devices, core system).
 //
-// The injector itself is deliberately generic: it owns *when* disruptions
-// happen (fixed schedule and/or Poisson processes) while the registered
-// hooks own *how* they are applied, so new disruption types never require
-// kernel changes.
+// The injector itself is deliberately generic: a timer over its plan
+// entries. It owns *when* disruptions happen (fixed schedule and/or
+// Poisson processes) and runs each entry's apply at its start and its
+// revert at its end; the registered hooks own *how* they are applied, so
+// new disruption types never require kernel changes. What a revert
+// restores when windows overlap is the caller's state
+// (chaos::install_schedule keeps it).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -25,17 +29,11 @@
 namespace riot::sim {
 
 /// A named, reversible disruption. `apply` starts it, `revert` (optional)
-/// ends it. `revert_guard` (optional) is consulted immediately before the
-/// revert fires: when it returns false — the disrupted subject no longer
-/// exists or was independently re-disrupted (e.g. the node this window
-/// crashed was crashed again by another fault) — the revert is skipped and
-/// a "fault/revert_skipped" trace event is emitted instead of blindly
-/// undoing state the window no longer owns.
+/// ends it.
 struct Disruption {
   std::string name;
   std::function<void()> apply;
   std::function<void()> revert;  // empty => not reversible (e.g. crash-only)
-  std::function<bool()> revert_guard;  // empty => always revert
   // Reverts that land on the same simulation instant run in ascending
   // phase order (FIFO within a phase), regardless of which window started
   // first. This is how composed schedules stay consistent: a partition
@@ -66,12 +64,10 @@ class FaultInjector {
   /// Convenience: one-shot event at `at`.
   void plan_at(SimTime at, std::string name, std::function<void()> apply);
 
-  /// Convenience: windowed disruption over [start, start+duration). The
-  /// optional guard protects the revert (see Disruption::revert_guard).
+  /// Convenience: windowed disruption over [start, start+duration).
   void plan_window(SimTime start, SimTime duration, std::string name,
                    std::function<void()> apply,
-                   std::function<void()> revert,
-                   std::function<bool()> revert_guard = {});
+                   std::function<void()> revert);
 
   /// Poisson-process faults: on average every `mean_interarrival`, draw a
   /// target via `make` (which returns the disruption to apply; it may be
@@ -97,38 +93,30 @@ class FaultInjector {
   }
 
   [[nodiscard]] std::size_t injected_count() const { return injected_; }
-  [[nodiscard]] std::size_t reverts_skipped() const {
-    return reverts_skipped_;
-  }
-  [[nodiscard]] const std::vector<PlannedFault>& plan_entries() const {
+  [[nodiscard]] const std::deque<PlannedFault>& plan_entries() const {
     return plan_;
   }
 
  private:
-  // Reverts due at one simulation instant are collected and drained by a
-  // single same-instant event, ordered by Disruption::revert_phase (stable
-  // within a phase), so composed windows always revert topology before
-  // node state. Guards are consulted at drain time.
-  struct PendingRevert {
-    int phase;
-    std::string name;
-    std::function<void()> revert;
-    std::function<bool()> guard;
-  };
-
-  void fire(const PlannedFault& fault);
+  void fire(std::size_t entry);
   void drain_reverts();
+  void invoke(const std::string& name, const std::function<void()>& body);
 
   Simulation& sim_;
   TraceLog& trace_;
   Rng rng_;
   InjectWrapper wrapper_;
-  std::vector<PlannedFault> plan_;
-  std::vector<PendingRevert> pending_reverts_;
+  // A deque keeps every entry in place as the plan grows: timers refer to
+  // entries by index, and apply and revert run from their own entry, which
+  // may plan and arm more faults while it runs.
+  std::deque<PlannedFault> plan_;
+  // Entries whose revert is due at the current instant. One same-instant
+  // event drains them in Disruption::revert_phase order (stable within a
+  // phase), so composed windows revert topology before node state.
+  std::vector<std::size_t> pending_reverts_;
   bool drain_scheduled_ = false;
   std::size_t armed_ = 0;  // how many plan entries are already installed
   std::size_t injected_ = 0;
-  std::size_t reverts_skipped_ = 0;
 };
 
 }  // namespace riot::sim

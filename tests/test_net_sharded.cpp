@@ -248,6 +248,24 @@ TEST(ShardedNetwork, SendsStrandedByAFailedRunLandInTheNextRun) {
   EXPECT_EQ(landed, sim::millis(8));
 }
 
+TEST(ShardedNetwork, UnsealedCrossShardSendIsDelivered) {
+  // The exchange hook is installed with the fabric, so a cross-shard send
+  // on a fabric that was never sealed still leaves its outbox.
+  sim::ShardedSimulation kernel(2, 5);
+  ShardedNetwork net(kernel);
+  sim::SimTime landed = sim::kSimTimeZero;  // written by shard 1
+  const NodeId a = net.register_endpoint(0, [](const Message&) {});
+  const NodeId b = net.register_endpoint(
+      1, [&](const Message&) { landed = kernel.shard(1).now(); });
+  net.set_class_link(0, 0, {sim::millis(1), sim::kSimTimeZero, 0.0});
+  kernel.shard(0).schedule_at(sim::millis(5),
+                              [&net, a, b] { net.send(a, b, Token{}); });
+  kernel.run_until(sim::millis(50));
+  EXPECT_EQ(net.messages_sent(), 1u);
+  EXPECT_EQ(net.messages_delivered(), 1u);
+  EXPECT_EQ(landed, sim::millis(6));
+}
+
 TEST(ShardedNetwork, DownEndpointDropsAtDelivery) {
   sim::ShardedSimulation kernel(2, 1);
   ShardedNetwork net(kernel);

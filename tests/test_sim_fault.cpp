@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace riot::sim {
 namespace {
 
@@ -108,36 +111,24 @@ TEST_F(FaultFixture, RevertIsTraced) {
   EXPECT_EQ(trace.count("fault", "revert"), 1u);
 }
 
-TEST_F(FaultFixture, GuardedRevertSkipsWhenSubjectIsGone) {
-  // Models a window whose target was independently crashed before the
-  // window's end: the guard reports the subject no longer belongs to this
-  // window, so the revert must not fire.
-  bool node_owned_by_window = true;
-  int reverted = 0;
+TEST_F(FaultFixture, RevertMayPlanAndArmMoreFaults) {
+  // A revert runs from its own plan entry, so the entry (and the closure
+  // running from it) must stay in place while the revert grows the plan.
+  std::vector<std::string> log;
   injector.plan_window(
-      seconds(1), seconds(2), "crash n0", [] {}, [&] { ++reverted; },
-      [&] { return node_owned_by_window; });
-  // At t=2 another fault takes the node over.
-  injector.plan_at(seconds(2), "takeover",
-                   [&] { node_owned_by_window = false; });
+      seconds(1), seconds(1), "outer", [&log] { log.push_back("apply"); },
+      [this, &log] {
+        for (int i = 0; i < 64; ++i) {
+          injector.plan_window(seconds(3), seconds(1), "inner", [] {}, [] {});
+        }
+        injector.arm();
+        log.push_back("revert");  // reads a capture after the growth
+      });
   injector.arm();
   sim.run_until(seconds(5));
-  EXPECT_EQ(reverted, 0) << "revert on a dead subject must be skipped";
-  EXPECT_EQ(injector.reverts_skipped(), 1u);
-  EXPECT_EQ(trace.count("fault", "revert"), 0u);
-  EXPECT_EQ(trace.count("fault", "revert_skipped"), 1u);
-}
-
-TEST_F(FaultFixture, GuardedRevertRunsWhenSubjectIsOwned) {
-  int reverted = 0;
-  injector.plan_window(
-      seconds(1), seconds(2), "w", [] {}, [&] { ++reverted; },
-      [] { return true; });
-  injector.arm();
-  sim.run_until(seconds(5));
-  EXPECT_EQ(reverted, 1);
-  EXPECT_EQ(injector.reverts_skipped(), 0u);
-  EXPECT_EQ(trace.count("fault", "revert"), 1u);
+  EXPECT_EQ(log, (std::vector<std::string>{"apply", "revert"}));
+  EXPECT_EQ(injector.injected_count(), 65u);
+  EXPECT_EQ(trace.count("fault", "revert"), 65u);
 }
 
 }  // namespace

@@ -121,6 +121,56 @@ TEST(ShardedSimulation, HandlerExceptionPropagatesToCaller) {
   EXPECT_THROW(kernel.run_until(millis(100)), std::runtime_error);
 }
 
+TEST(ShardedSimulation, WorkLeftByAFailedExchangeRunsOnTimeNextRun) {
+  // A transport reduced to the kernel's cross-shard protocol, as the
+  // sharded network fabric uses it: buffer on write_side(), report the
+  // time through note_outbound(), schedule on the destination from the
+  // exchange hook. Its first drain of a buffered item throws, so the run
+  // stops with the item still buffered, and two side flips later its side
+  // is the write side again. The next run must take that side in before it
+  // plans its first window: the item then runs at 6 ms and its onward send
+  // reaches shard 0 at 7 ms. A late drain lets shard 0 run its own 7.5 ms
+  // event first, and the onward delivery is then scheduled in its past.
+  ShardedSimulation kernel(2, 11);
+  kernel.set_lookahead(millis(1));
+  std::vector<SimTime> boxes[2][2];  // [side][destination shard]
+  bool failed = false;
+  SimTime item_at = kSimTimeZero;    // written by shard 1
+  SimTime onward_at = kSimTimeZero;  // written by shard 0
+  const auto buffer = [&](std::size_t src, std::size_t dst, SimTime at) {
+    boxes[kernel.write_side()][dst].push_back(at);
+    kernel.note_outbound(src, at);
+  };
+  kernel.set_exchange([&](std::size_t dst, std::size_t side) {
+    std::vector<SimTime>& box = boxes[side][dst];
+    if (box.empty()) return;
+    if (!failed) {
+      failed = true;
+      throw std::runtime_error("exchange failed");
+    }
+    for (const SimTime at : box) {
+      if (dst == 1) {
+        kernel.shard(1).schedule_at(at, [&] {
+          item_at = kernel.shard(1).now();
+          buffer(1, 0, item_at + millis(1));
+        });
+      } else {
+        kernel.shard(0).schedule_at(
+            at, [&] { onward_at = kernel.shard(0).now(); });
+      }
+    }
+    box.clear();
+  });
+  kernel.shard(0).schedule_at(millis(5), [&] { buffer(0, 1, millis(6)); });
+  kernel.shard(0).schedule_at(millis(7) + micros(500), [] {});
+  EXPECT_THROW(kernel.run_until(millis(20)), std::runtime_error);
+  EXPECT_EQ(boxes[kernel.write_side()][1].size(), 1u);
+  EXPECT_EQ(item_at, kSimTimeZero);
+  EXPECT_NO_THROW(kernel.run_until(millis(20)));
+  EXPECT_EQ(item_at, millis(6));
+  EXPECT_EQ(onward_at, millis(7));
+}
+
 TEST(ShardedSimulation, PeriodicEventsAcrossWindows) {
   ShardedSimulation kernel(2, 8);
   kernel.set_lookahead(millis(1));
