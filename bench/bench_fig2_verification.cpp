@@ -124,7 +124,7 @@ int main() {
       if (trace_rng.chance(0.5)) state.insert("resp");
       state.insert("a");
       state.insert("c");
-      monitor.step(state);
+      monitor.step(state, sim::nanos(i));
       if (monitor.verdict() != model::ltl::Verdict::kInconclusive) {
         monitor.reset();
       }

@@ -189,6 +189,9 @@ PrivacyOutcome run_privacy(int mode) {  // 0=none, 1=cloud broker, 2=edge
 
   PrivacyOutcome outcome;
   data::FreshnessTracker intra;
+  // The producer timers below bump it while the system runs, after the
+  // branch that schedules them has closed.
+  std::uint64_t seq = 0;
 
   if (mode == 2) {
     // Edge-relayed epidemic plane with enforcement at the relay.
@@ -211,7 +214,6 @@ PrivacyOutcome run_privacy(int mode) {  // 0=none, 1=cloud broker, 2=edge
       explicit Producer(net::Network& n) : net::Node(n) {}
     };
     auto& producer = system.attach<Producer>(wearable_dev);
-    std::uint64_t seq = 0;
     system.simulation().schedule_every(sim::millis(500), [&] {
       data::DataItem item;
       item.id = ++seq;
@@ -241,7 +243,6 @@ PrivacyOutcome run_privacy(int mode) {  // 0=none, 1=cloud broker, 2=edge
     cloud_client.subscribe("hr", [&](const data::DataItem&, sim::SimTime) {
       ++outcome.delivered_cross;
     });
-    std::uint64_t seq = 0;
     system.simulation().schedule_every(sim::millis(500), [&] {
       data::DataItem item;
       item.id = ++seq;

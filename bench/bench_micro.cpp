@@ -132,11 +132,12 @@ void BM_LtlProgressPerEvent(benchmark::State& state) {
       model::ltl::eventually(model::ltl::prop("resp"))));
   model::ltl::Monitor monitor(formula);
   sim::Rng rng(6);
+  std::int64_t event = 0;
   for (auto _ : state) {
     model::ltl::State trace_state;
     if (rng.chance(0.2)) trace_state.insert("req");
     if (rng.chance(0.5)) trace_state.insert("resp");
-    monitor.step(trace_state);
+    monitor.step(trace_state, sim::nanos(event++));
     if (monitor.verdict() != model::ltl::Verdict::kInconclusive) {
       monitor.reset();
     }

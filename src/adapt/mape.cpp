@@ -96,14 +96,6 @@ void MapeLoop::add_ltl_analyzer(
                                        std::move(extract_state)});
 }
 
-void MapeLoop::add_mtl_analyzer(
-    std::string name, model::mtl::FormulaPtr formula,
-    std::function<model::mtl::State(const KnowledgeBase&)> extract_state) {
-  mtl_analyzers_.push_back(MtlAnalyzer{std::move(name),
-                                       model::mtl::Monitor(std::move(formula)),
-                                       std::move(extract_state)});
-}
-
 void MapeLoop::route_component(const std::string& component,
                                net::NodeId effector) {
   action_routes_[component] = effector;
@@ -117,7 +109,6 @@ void MapeLoop::on_recover() {
   // A restarted loop host has an empty model@runtime; telemetry refills it.
   knowledge_.clear();
   for (auto& analyzer : ltl_analyzers_) analyzer.monitor.reset();
-  for (auto& analyzer : mtl_analyzers_) analyzer.monitor.reset();
   every(period_, [this] { iterate(); });
 }
 
@@ -131,7 +122,8 @@ void MapeLoop::iterate() {
     if (auto v = fn(knowledge_)) violations.push_back(std::move(*v));
   }
   for (auto& analyzer : ltl_analyzers_) {
-    const auto verdict = analyzer.monitor.step(analyzer.extract(knowledge_));
+    const auto verdict =
+        analyzer.monitor.step(analyzer.extract(knowledge_), now());
     if (verdict == model::ltl::Verdict::kViolated) {
       violations.push_back(Violation{analyzer.name, 1.0,
                                      "LTL monitor violated: " +
@@ -140,17 +132,6 @@ void MapeLoop::iterate() {
       analyzer.monitor.reset();
     } else if (verdict == model::ltl::Verdict::kSatisfied) {
       analyzer.monitor.reset();  // keep guarding
-    }
-  }
-  for (auto& analyzer : mtl_analyzers_) {
-    const auto verdict = analyzer.monitor.step(analyzer.extract(knowledge_),
-                                               now());
-    if (verdict == model::mtl::Verdict::kViolated) {
-      violations.push_back(Violation{analyzer.name, 1.0,
-                                     "MTL monitor violated (deadline)"});
-      analyzer.monitor.reset();
-    } else if (verdict == model::mtl::Verdict::kSatisfied) {
-      analyzer.monitor.reset();
     }
   }
   last_violations_ = violations;

@@ -11,8 +11,11 @@
 //   MapeLoop  --ActionCommand-->  Effector (per device)  [Execute]
 //
 // Analyzers are either plain predicates over the KnowledgeBase or LTL
-// monitors progressing over a proposition-extraction of the KB — runtime
-// verification embedded in the loop, as Section VII prescribes.
+// monitors progressing over a proposition-extraction of the KB at the
+// loop's clock — runtime verification embedded in the loop, as Section VII
+// prescribes. A monitor's bounded operators turn deadline requirements
+// ("stale data must be repaired within d") into violations the moment the
+// deadline passes.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +28,6 @@
 #include "adapt/actions.hpp"
 #include "adapt/knowledge.hpp"
 #include "model/ltl.hpp"
-#include "model/mtl.hpp"
 #include "net/node.hpp"
 
 namespace riot::adapt {
@@ -117,19 +119,11 @@ class MapeLoop : public net::Node {
   void add_analyzer(std::string name, AnalyzerFn fn);
 
   /// LTL runtime-verification analyzer: each loop iteration extracts a
-  /// proposition state from the KB and progresses the monitor; a kViolated
-  /// verdict raises the violation and resets the monitor (so it keeps
-  /// guarding subsequent windows).
+  /// proposition state from the KB and progresses the monitor at the
+  /// node's clock; a decided verdict resets the monitor (so it keeps
+  /// guarding subsequent windows), and kViolated also raises the violation.
   void add_ltl_analyzer(std::string name, model::ltl::FormulaPtr formula,
                         std::function<model::ltl::State(const KnowledgeBase&)>
-                            extract_state);
-
-  /// Metric-LTL analyzer: like add_ltl_analyzer but with time-bounded
-  /// operators progressed against the simulation clock — deadline
-  /// requirements ("stale data must be repaired within d") become
-  /// definitive violations the moment the deadline passes.
-  void add_mtl_analyzer(std::string name, model::mtl::FormulaPtr formula,
-                        std::function<model::mtl::State(const KnowledgeBase&)>
                             extract_state);
 
   void set_planner(std::unique_ptr<Planner> planner) {
@@ -179,11 +173,6 @@ class MapeLoop : public net::Node {
     model::ltl::Monitor monitor;
     std::function<model::ltl::State(const KnowledgeBase&)> extract;
   };
-  struct MtlAnalyzer {
-    std::string name;
-    model::mtl::Monitor monitor;
-    std::function<model::mtl::State(const KnowledgeBase&)> extract;
-  };
 
   void iterate();
   void execute(const Action& action);
@@ -192,7 +181,6 @@ class MapeLoop : public net::Node {
   KnowledgeBase knowledge_;
   std::vector<std::pair<std::string, AnalyzerFn>> analyzers_;
   std::vector<LtlAnalyzer> ltl_analyzers_;
-  std::vector<MtlAnalyzer> mtl_analyzers_;
   std::unique_ptr<Planner> planner_;
   std::unordered_map<std::string, net::NodeId> action_routes_;
   Effector::Handler local_handler_;

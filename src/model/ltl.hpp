@@ -1,16 +1,32 @@
-// LTL runtime monitors by formula progression.
+// LTL runtime monitors by formula progression, with optional deadlines.
 //
 // Design-time checking (ctl.hpp) cannot cover "unforeseen or emergent
 // behaviors ... at the system's runtime" (Section VII). Runtime
 // verification closes the gap: a Monitor consumes the system's event trace
-// one state at a time and rewrites its LTL formula by *progression*
-// (Bauer/Leucker/Schallhart-style three-valued semantics):
+// one timestamped state at a time and rewrites its LTL formula by
+// *progression* (Bauer/Leucker/Schallhart-style three-valued semantics):
 //
 //   prog(p, σ)      = σ(p)
 //   prog(X f, σ)    = f
 //   prog(f U g, σ)  = prog(g,σ) | (prog(f,σ) & f U g)
 //   prog(G f, σ)    = prog(f,σ) & G f
 //   prog(F f, σ)    = prog(f,σ) | F f
+//
+// IoT resilience requirements usually carry deadlines: "every request is
+// answered within 3 seconds", "data is never stale for longer than the
+// freshness bound". So F, G and U take an optional time bound:
+//
+//   F[<=d] f   — f holds at some state stamped <= t_arm + d
+//   G[<=d] f   — f holds at every state stamped <= t_arm + d
+//   f U[<=d] g — g within d, f holding until then
+//
+// where t_arm is the time the obligation is first progressed (e.g. each
+// time `G(req -> F[<=d] resp)` sees a request). A bounded node then
+// carries its absolute deadline and progresses exactly like the unbounded
+// one until the clock passes that deadline; from then on F and U have
+// failed and G has held. A missed deadline thus becomes a definitive
+// verdict at runtime instead of an inconclusive residual, which is what
+// the MAPE analyzer needs to trigger counteractions promptly.
 //
 // The verdict is kSatisfied/kViolated as soon as the residual formula
 // collapses to true/false, kInconclusive otherwise. Progression is O(|φ|)
@@ -19,9 +35,12 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+
+#include "sim/time.hpp"
 
 namespace riot::model::ltl {
 
@@ -47,6 +66,10 @@ struct Formula {
   std::string prop;
   FormulaPtr left;
   FormulaPtr right;
+  /// F, G and U only; none means unbounded.
+  std::optional<sim::SimTime> bound;
+  /// Absolute deadline of a bounded node, set when it is first progressed.
+  std::optional<sim::SimTime> deadline;
 
   [[nodiscard]] std::string to_string() const;
 };
@@ -63,13 +86,17 @@ FormulaPtr until(FormulaPtr a, FormulaPtr b);
 FormulaPtr release(FormulaPtr a, FormulaPtr b);
 FormulaPtr eventually(FormulaPtr f);
 FormulaPtr always(FormulaPtr f);
+FormulaPtr eventually_within(sim::SimTime bound, FormulaPtr f);
+FormulaPtr always_within(sim::SimTime bound, FormulaPtr f);
+FormulaPtr until_within(sim::SimTime bound, FormulaPtr a, FormulaPtr b);
 
 /// The set of atomic propositions true in one trace state.
 using State = std::set<std::string>;
 
-/// One progression step: rewrite `f` against `state`, with boolean
-/// simplification.
-FormulaPtr progress(const FormulaPtr& f, const State& state);
+/// One progression step: rewrite `f` against `state` observed at `now`,
+/// with boolean simplification.
+FormulaPtr progress(const FormulaPtr& f, const State& state,
+                    sim::SimTime now);
 
 /// Structural formula size (AST nodes) — monitors guard against residual
 /// blow-up with it.
@@ -84,8 +111,15 @@ class Monitor {
   explicit Monitor(FormulaPtr formula)
       : initial_(formula), residual_(std::move(formula)) {}
 
-  /// Feed the next trace state; returns the (possibly final) verdict.
-  Verdict step(const State& state);
+  /// Feed the next trace state, observed at `now` (non-decreasing from
+  /// step to step; an untimed trace passes each state's index); returns
+  /// the (possibly final) verdict.
+  Verdict step(const State& state, sim::SimTime now);
+
+  /// Advance the clock without an observation: a bounded obligation whose
+  /// deadline has passed resolves now — a missed F[<=d] becomes kViolated
+  /// as soon as the clock passes the deadline, not at the next state.
+  Verdict advance_time(sim::SimTime now);
 
   /// End-of-trace evaluation with finite-trace semantics: an undischarged
   /// eventually/until is a violation, an undischarged always is satisfied
@@ -96,10 +130,13 @@ class Monitor {
   [[nodiscard]] const FormulaPtr& residual() const { return residual_; }
   [[nodiscard]] std::size_t steps() const { return steps_; }
 
-  /// Reset to the initial formula (monitor reuse across MAPE windows).
+  /// Reset to the initial formula (monitor reuse across MAPE windows);
+  /// bounded operators re-arm on the next step.
   void reset();
 
  private:
+  Verdict settle();
+
   FormulaPtr initial_;
   FormulaPtr residual_;
   Verdict verdict_ = Verdict::kInconclusive;

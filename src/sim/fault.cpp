@@ -39,7 +39,7 @@ void FaultInjector::plan_poisson(SimTime first_after, SimTime until,
   SimTime t = first_after +
               seconds_f(rng_.exponential(to_seconds(mean_interarrival)));
   while (t < until) {
-    plan_.push_back(PlannedFault{t, duration, make()});
+    plan(PlannedFault{t, duration, make()});
     t += seconds_f(rng_.exponential(to_seconds(mean_interarrival)));
   }
 }

@@ -136,13 +136,13 @@ TEST_F(MapeTest, LtlMonitorResetsAfterViolation) {
 
 TEST_F(MapeTest, MtlAnalyzerFiresOnDeadline) {
   MapeLoop loop(network, sim::millis(100));
-  loop.add_mtl_analyzer(
-      "deadline", model::mtl::always(model::mtl::implies(
-                      model::mtl::prop("down"),
-                      model::mtl::eventually_within(sim::seconds(1),
-                                                    model::mtl::prop("up")))),
+  loop.add_ltl_analyzer(
+      "deadline", model::ltl::always(model::ltl::implies(
+                      model::ltl::prop("down"),
+                      model::ltl::eventually_within(sim::seconds(1),
+                                                    model::ltl::prop("up")))),
       [](const KnowledgeBase& kb) {
-        model::mtl::State state;
+        model::ltl::State state;
         state.insert(kb.value_or("svc", 1.0) > 0.5 ? "up" : "down");
         return state;
       });
@@ -161,13 +161,13 @@ TEST_F(MapeTest, MtlAnalyzerFiresOnDeadline) {
 
 TEST_F(MapeTest, MtlAnalyzerQuietWhenRepairedInTime) {
   MapeLoop loop(network, sim::millis(100));
-  loop.add_mtl_analyzer(
-      "deadline", model::mtl::always(model::mtl::implies(
-                      model::mtl::prop("down"),
-                      model::mtl::eventually_within(sim::seconds(1),
-                                                    model::mtl::prop("up")))),
+  loop.add_ltl_analyzer(
+      "deadline", model::ltl::always(model::ltl::implies(
+                      model::ltl::prop("down"),
+                      model::ltl::eventually_within(sim::seconds(1),
+                                                    model::ltl::prop("up")))),
       [](const KnowledgeBase& kb) {
-        model::mtl::State state;
+        model::ltl::State state;
         state.insert(kb.value_or("svc", 1.0) > 0.5 ? "up" : "down");
         return state;
       });

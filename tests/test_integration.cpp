@@ -173,9 +173,9 @@ TEST(Integration, CrdtConvergesThroughCompoundFaults) {
   }
 }
 
-// MAPE loop with an MTL deadline analyzer drives recovery: the violation
-// fires when the repair deadline passes, not merely when staleness is
-// noticed.
+// MAPE loop with a deadline (bounded LTL) analyzer drives recovery: the
+// violation fires when the repair deadline passes, not merely when
+// staleness is noticed.
 TEST(Integration, MtlDeadlineDrivenRecovery) {
   core::IoTSystem system(core::SystemConfig{.seed = 17});
   auto edge = device::make_edge("edge");
@@ -198,15 +198,16 @@ TEST(Integration, MtlDeadlineDrivenRecovery) {
       worker_dev, loop.id(), sim::millis(250));
   telemetry.add_probe("svc.up",
                       [service] { return service->healthy ? 1.0 : 0.0; });
-  // MTL: whenever the service is down, it must be up again within 3 s.
-  loop.add_mtl_analyzer(
+  // A deadline requirement: whenever the service is down, it must be up
+  // again within 3 s.
+  loop.add_ltl_analyzer(
       "repair-deadline",
-      model::mtl::always(model::mtl::implies(
-          model::mtl::prop("down"),
-          model::mtl::eventually_within(sim::seconds(3),
-                                        model::mtl::prop("up")))),
+      model::ltl::always(model::ltl::implies(
+          model::ltl::prop("down"),
+          model::ltl::eventually_within(sim::seconds(3),
+                                        model::ltl::prop("up")))),
       [](const adapt::KnowledgeBase& kb) {
-        model::mtl::State state;
+        model::ltl::State state;
         if (kb.value_or("svc.up", 1.0) < 0.5) {
           state.insert("down");
         } else {

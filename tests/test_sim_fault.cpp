@@ -41,6 +41,12 @@ TEST_F(FaultFixture, MissingApplyThrows) {
   EXPECT_THROW(injector.plan(PlannedFault{seconds(1), kSimTimeZero,
                                           Disruption{"x", {}, {}}}),
                std::invalid_argument);
+  // A Poisson plan is checked entry by entry too, when it is planned
+  // rather than when the first arrival fires.
+  EXPECT_THROW(injector.plan_poisson(seconds(0), seconds(100), seconds(5),
+                                     kSimTimeZero,
+                                     [] { return Disruption{"x", {}, {}}; }),
+               std::invalid_argument);
 }
 
 TEST_F(FaultFixture, PoissonGeneratesWithinRange) {
