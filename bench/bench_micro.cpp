@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "coord/gossip.hpp"
 #include "coord/raft.hpp"
 #include "data/crdt.hpp"
+#include "membership/swim.hpp"
 #include "model/ctl.hpp"
 #include "model/ltl.hpp"
 #include "net/world.hpp"
@@ -37,6 +39,30 @@ void BM_SimulationEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimulationEventThroughput)->Arg(10'000)->Arg(100'000);
+
+// The kernel's queue at a steady `range(0)` pending events: each iteration
+// schedules one event at a random offset and executes the earliest.
+void BM_EventQueuePushPop(benchmark::State& state) {
+  sim::Simulation simulation;
+  sim::Rng rng(9);
+  std::vector<sim::SimTime> delays(4096);
+  for (auto& d : delays) {
+    d = sim::micros(static_cast<std::int64_t>(1 + rng.below(10'000)));
+  }
+  std::uint64_t sink = 0;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    simulation.schedule_after(delays[static_cast<std::size_t>(i) % 4096],
+                              [&sink] { ++sink; });
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    simulation.schedule_after(delays[next++ % 4096], [&sink] { ++sink; });
+    simulation.step();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueuePushPop)->Arg(4096);
 
 void BM_RngUniform(benchmark::State& state) {
   sim::Rng rng(1);
@@ -77,6 +103,70 @@ void BM_NetworkSendDeliver(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NetworkSendDeliver);
+
+// One gossip digest receipt between converged nodes, the chaos soak's
+// steady state: the receiver holds the same `range(0)` keys at the same
+// versions, so it answers nothing. Includes one delivery.
+void BM_GossipDigestReceipt(benchmark::State& state) {
+  net::World h(10);
+  coord::GossipNode node(h.network);
+  struct Probe : net::Node {
+    using net::Node::Node;
+  } probe(h.network);
+  using Entries = std::vector<coord::GossipNode::DigestEntry>;
+  auto entries = std::make_shared<Entries>();
+  coord::GossipNode::Delta load;
+  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
+    const std::string key = "cell" + std::to_string(100 + i);
+    load.entries.emplace_back(key, coord::VersionedValue{"v7", 1, 7, 3});
+    entries->push_back(coord::GossipNode::DigestEntry{key, 1, 7, 3});
+  }
+  probe.send(node.id(), std::move(load));
+  h.sim.run_for(sim::millis(10));
+  const coord::GossipNode::Digest digest{entries};
+  const std::uint64_t sent = h.network.messages_sent();
+  for (auto _ : state) {
+    probe.send(node.id(), digest);
+    h.sim.run_for(sim::millis(2));
+  }
+  if (h.network.messages_sent() - sent !=
+      static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("receiver answered a converged digest");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GossipDigestReceipt)->Arg(40);
+
+// SWIM's piggyback selection on a queue of `range(0)` updates with the
+// soak's budgets (~3 log2 200) and slots (16): each iteration takes one
+// message's worth; the queue is refilled (untimed) before it drops below
+// half.
+void BM_SwimTakePiggyback(benchmark::State& state) {
+  const auto fill = static_cast<std::uint32_t>(state.range(0));
+  membership::PiggybackQueue queue;
+  sim::Rng rng(11);
+  const auto refill = [&] {
+    for (std::uint32_t i = 0; i < fill; ++i) {
+      queue.push({net::NodeId{i}, membership::MemberState::kSuspect, 1},
+                 static_cast<int>(1 + rng.below(23)));
+    }
+  };
+  refill();
+  std::uint64_t taken = 0;
+  for (auto _ : state) {
+    const std::vector<membership::MemberUpdate> out = queue.take(16);
+    taken += out.size();
+    benchmark::DoNotOptimize(out.data());
+    if (queue.size() < fill / 2) {
+      state.PauseTiming();
+      refill();
+      state.ResumeTiming();
+    }
+  }
+  benchmark::DoNotOptimize(taken);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SwimTakePiggyback)->Arg(200);
 
 void BM_GCounterMerge(benchmark::State& state) {
   sim::Rng rng(4);

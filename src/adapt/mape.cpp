@@ -122,13 +122,15 @@ void MapeLoop::iterate() {
     if (auto v = fn(knowledge_)) violations.push_back(std::move(*v));
   }
   for (auto& analyzer : ltl_analyzers_) {
+    // A violated monitor's residual is the constant false; the obligation
+    // that failed is the residual it stepped from.
+    const model::ltl::FormulaPtr obligation = analyzer.monitor.residual();
     const auto verdict =
         analyzer.monitor.step(analyzer.extract(knowledge_), now());
     if (verdict == model::ltl::Verdict::kViolated) {
-      violations.push_back(Violation{analyzer.name, 1.0,
-                                     "LTL monitor violated: " +
-                                         analyzer.monitor.residual()
-                                             ->to_string()});
+      violations.push_back(Violation{
+          analyzer.name, 1.0,
+          "LTL monitor violated: " + obligation->to_string()});
       analyzer.monitor.reset();
     } else if (verdict == model::ltl::Verdict::kSatisfied) {
       analyzer.monitor.reset();  // keep guarding

@@ -11,6 +11,14 @@ bool newer(std::uint32_t e_a, std::uint64_t v_a, std::uint32_t o_a,
            std::uint32_t e_b, std::uint64_t v_b, std::uint32_t o_b) {
   return std::tie(e_a, v_a, o_a) > std::tie(e_b, v_b, o_b);
 }
+
+/// First entry of a key-sorted store whose key is not less than `key`.
+template <typename Store>
+auto lower_bound_key(Store& store, const std::string& key) {
+  return std::lower_bound(
+      store.begin(), store.end(), key,
+      [](const auto& entry, const std::string& k) { return entry.first < k; });
+}
 }  // namespace
 
 GossipNode::GossipNode(net::Network& network, GossipConfig config)
@@ -21,42 +29,40 @@ GossipNode::GossipNode(net::Network& network, GossipConfig config)
   on<Digest>([this](net::NodeId from, const Digest& digest) {
     // Push-pull reconciliation: push entries where we are ahead (or the
     // sender is silent), pull keys where the sender is ahead. Ordering is
-    // (version, origin) lexicographic — origin breaks concurrent
+    // (epoch, version, origin) lexicographic — origin breaks concurrent
     // same-version writes deterministically.
     //
-    // Hot path at scale: one store lookup per digest entry, and the
-    // "which local keys did the sender not mention" test is a linear scan
-    // over the pointers collected below instead of a rebuilt hash set —
-    // stores are small (tens of keys) and this keeps the steady-state
-    // receipt allocation-free.
+    // Digest and store are both in key order, so one lockstep walk
+    // classifies every key: one string compare per step, no lookups, and
+    // the steady-state receipt stays allocation-free.
     Delta ahead;
     DigestRequest want;
-    matched_.clear();
+    auto local = store_.cbegin();
     if (digest.entries != nullptr) {
-      for (const auto& entry : *digest.entries) {
-        const VersionedValue* found = find_entry(entry.key);
-        if (found == nullptr) {
+      for (const DigestEntry& entry : *digest.entries) {
+        int order = 1;  // > 0: no local entry for entry.key
+        for (; local != store_.cend(); ++local) {
+          order = local->first.compare(entry.key);
+          if (order >= 0) break;
+          ahead.entries.push_back(*local);  // the sender never mentioned it
+        }
+        if (order != 0) {
           want.keys.push_back(entry.key);
           continue;
         }
-        const VersionedValue& local = *found;
-        matched_.push_back(&local);
-        if (newer(entry.epoch, entry.version, entry.origin, local.epoch,
-                  local.version, local.origin)) {
+        const VersionedValue& mine = local->second;
+        if (newer(entry.epoch, entry.version, entry.origin, mine.epoch,
+                  mine.version, mine.origin)) {
           want.keys.push_back(entry.key);
-        } else if (local.epoch != entry.epoch ||
-                   local.version != entry.version ||
-                   local.origin != entry.origin) {
-          ahead.entries.emplace_back(entry.key, local);
+        } else if (mine.epoch != entry.epoch ||
+                   mine.version != entry.version ||
+                   mine.origin != entry.origin) {
+          ahead.entries.push_back(*local);
         }
+        ++local;
       }
     }
-    for (const auto& [key, value] : store_) {
-      if (std::find(matched_.begin(), matched_.end(), &value) ==
-          matched_.end()) {
-        ahead.entries.emplace_back(key, value);
-      }
-    }
+    ahead.entries.insert(ahead.entries.end(), local, store_.cend());
     if (!ahead.entries.empty()) send(from, std::move(ahead));
     if (!want.keys.empty()) send(from, std::move(want));
   });
@@ -82,21 +88,35 @@ void GossipNode::add_peer(net::NodeId peer) {
 }
 
 void GossipNode::set_peers(std::vector<net::NodeId> peers) {
-  peers_.clear();
-  for (const net::NodeId p : peers) add_peer(p);
+  // (peer, position) sorted: the first pair of each run of equal peers
+  // holds the peer's first position in the list.
+  std::vector<std::pair<net::NodeId, std::size_t>> order;
+  order.reserve(peers.size());
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    order.emplace_back(peers[i], i);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<bool> keep(peers.size(), false);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (order[k].first != id() &&
+        (k == 0 || order[k].first != order[k - 1].first)) {
+      keep[order[k].second] = true;
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    if (keep[i]) peers[kept++] = peers[i];
+  }
+  peers.resize(kept);
+  peers_ = std::move(peers);
 }
 
 void GossipNode::put(const std::string& key, std::string value) {
-  VersionedValue* entry = nullptr;
-  for (auto& [k, v] : store_) {
-    if (k == key) {
-      entry = &v;
-      break;
-    }
+  auto it = lower_bound_key(store_, key);
+  if (it == store_.end() || it->first != key) {
+    it = store_.emplace(it, key, VersionedValue{});
   }
-  if (entry == nullptr) {
-    entry = &store_.emplace_back(key, VersionedValue{}).second;
-  }
+  VersionedValue* entry = &it->second;
   entry->value = std::move(value);
   // Never step the epoch backwards: the entry may have been absorbed from a
   // writer whose incarnation is ahead of ours, and a lower-epoch overwrite
@@ -116,10 +136,8 @@ std::optional<std::string> GossipNode::get(const std::string& key) const {
 }
 
 const VersionedValue* GossipNode::find_entry(const std::string& key) const {
-  for (const auto& [k, v] : store_) {
-    if (k == key) return &v;
-  }
-  return nullptr;
+  const auto it = lower_bound_key(store_, key);
+  return it != store_.end() && it->first == key ? &it->second : nullptr;
 }
 
 void GossipNode::on_start() {
@@ -159,21 +177,16 @@ void GossipNode::round() {
 
 void GossipNode::absorb(const std::string& key, const VersionedValue& value) {
   // Single-probe form of "if newer_than_local, store_[key] = value".
-  VersionedValue* local = nullptr;
-  for (auto& [k, v] : store_) {
-    if (k == key) {
-      local = &v;
-      break;
-    }
-  }
-  if (local != nullptr) {
-    if (!newer(value.epoch, value.version, value.origin, local->epoch,
-               local->version, local->origin)) {
+  const auto it = lower_bound_key(store_, key);
+  if (it != store_.end() && it->first == key) {
+    VersionedValue& local = it->second;
+    if (!newer(value.epoch, value.version, value.origin, local.epoch,
+               local.version, local.origin)) {
       return;
     }
-    *local = value;
+    local = value;
   } else {
-    store_.emplace_back(key, value);
+    store_.emplace(it, key, value);
   }
   digest_cache_.reset();
   if (update_cb_) update_cb_(key, value.value);

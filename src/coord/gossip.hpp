@@ -43,6 +43,8 @@ class GossipNode : public net::Node {
   GossipNode(net::Network& network, GossipConfig config = {});
 
   void add_peer(net::NodeId peer);
+  /// Replace the peer list: first occurrence of each id kept, in list
+  /// order, and this node's own id dropped.
   void set_peers(std::vector<net::NodeId> peers);
 
   /// Write (or overwrite) a key locally; the new version gossips outward.
@@ -50,6 +52,9 @@ class GossipNode : public net::Node {
 
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
   [[nodiscard]] std::size_t store_size() const { return store_.size(); }
+  [[nodiscard]] const std::vector<net::NodeId>& peers() const {
+    return peers_;
+  }
 
   /// Invoked whenever a key changes locally (own put or gossip).
   void on_update(
@@ -57,11 +62,9 @@ class GossipNode : public net::Node {
     update_cb_ = std::move(cb);
   }
 
- protected:
-  void on_start() override;
-  void on_recover() override;
-
- private:
+  // Wire messages. Digest entries are in key order: every digest is a
+  // snapshot of a key-sorted store, which is what lets a receipt
+  // reconcile in one merge.
   struct DigestEntry {
     std::string key;
     std::uint32_t epoch;
@@ -93,6 +96,11 @@ class GossipNode : public net::Node {
     std::vector<std::string> keys;
   };
 
+ protected:
+  void on_start() override;
+  void on_recover() override;
+
+ private:
   void round();
   void absorb(const std::string& key, const VersionedValue& value);
   [[nodiscard]] const VersionedValue* find_entry(const std::string& key) const;
@@ -100,18 +108,16 @@ class GossipNode : public net::Node {
   GossipConfig cfg_;
   sim::Rng rng_;
   std::vector<net::NodeId> peers_;
-  // Flat keyed store. Per-node stores are small (tens of keys, SSO-sized)
-  // and there are thousands of nodes at city scale, so a contiguous vector
-  // with a linear probe beats a per-node hash table: no hashing, no
-  // modulo, no node-walk cache misses — the whole store is a couple of
-  // cache lines. Iteration order is insertion order (deterministic).
+  // Flat keyed store, sorted by key. Per-node stores are small (tens of
+  // keys, SSO-sized) and there are thousands of nodes at city scale, so a
+  // contiguous vector beats a per-node hash table: no hashing, no
+  // node-walk cache misses, the whole store is a couple of cache lines.
+  // Lookups binary-search; a new key is inserted in place (rare: keys are
+  // few and long-lived).
   std::vector<std::pair<std::string, VersionedValue>> store_;
   std::function<void(const std::string&, const std::string&)> update_cb_;
   // Copy-on-write digest snapshot; invalidated by any store mutation.
   std::shared_ptr<const std::vector<DigestEntry>> digest_cache_;
-  // Reconciliation scratch (reused across digest receipts, no per-message
-  // allocation): store entries named by the incoming digest.
-  std::vector<const VersionedValue*> matched_;
 };
 
 }  // namespace riot::coord

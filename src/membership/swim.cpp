@@ -37,6 +37,49 @@ bool overrides(const MemberUpdate& incoming, MemberState cur_state,
 }
 }  // namespace
 
+void PiggybackQueue::push(const MemberUpdate& update, int budget) {
+  std::erase_if(entries_, [&](const Entry& e) {
+    return e.update.member == update.member;
+  });
+  entries_.push_back(Entry{update, budget});
+}
+
+std::vector<MemberUpdate> PiggybackQueue::take(std::size_t max) {
+  if (entries_.empty()) return {};
+  if (entries_.size() > max) order_by_remaining();
+  std::vector<MemberUpdate> out;
+  out.reserve(std::min(max, entries_.size()) + 1);
+  for (auto& e : entries_) {
+    if (out.size() >= max) break;
+    out.push_back(e.update);
+    --e.remaining;
+  }
+  std::erase_if(entries_, [](const Entry& e) { return e.remaining <= 0; });
+  return out;
+}
+
+void PiggybackQueue::order_by_remaining() {
+  // Stable counting sort, descending: bucket b holds remaining == top - b.
+  // Budgets are small (~3 log2 n), so the buckets are few.
+  int top = entries_.front().remaining;
+  int bottom = top;
+  for (const Entry& e : entries_) {
+    top = std::max(top, e.remaining);
+    bottom = std::min(bottom, e.remaining);
+  }
+  const auto bucket = [top](const Entry& e) {
+    return static_cast<std::size_t>(top - e.remaining);
+  };
+  bucket_start_.assign(static_cast<std::size_t>(top - bottom) + 2, 0);
+  for (const Entry& e : entries_) ++bucket_start_[bucket(e) + 1];
+  for (std::size_t b = 1; b < bucket_start_.size(); ++b) {
+    bucket_start_[b] += bucket_start_[b - 1];
+  }
+  sorted_.resize(entries_.size());
+  for (const Entry& e : entries_) sorted_[bucket_start_[bucket(e)]++] = e;
+  entries_.swap(sorted_);
+}
+
 SwimMember::SwimMember(net::Network& network, SwimConfig config)
     : net::Node(network),
       cfg_(config),
@@ -65,7 +108,26 @@ SwimMember::SwimMember(net::Network& network, SwimConfig config)
 
 void SwimMember::add_peer(net::NodeId peer) {
   if (peer == id()) return;
-  members_.try_emplace(peer, MemberInfo{});
+  admit(peer);
+}
+
+std::pair<SwimMember::MemberInfo&, bool> SwimMember::admit(
+    net::NodeId peer) {
+  auto [it, inserted] = members_.try_emplace(peer, MemberInfo{});
+  if (inserted) {
+    // Bootstrap lists arrive in id order, so this is an append.
+    const Member* member = &*it;
+    if (by_id_.empty() || by_id_.back()->first < peer) {
+      by_id_.push_back(member);
+    } else {
+      by_id_.insert(std::lower_bound(by_id_.begin(), by_id_.end(), member,
+                                     [](const Member* a, const Member* b) {
+                                       return a->first < b->first;
+                                     }),
+                    member);
+    }
+  }
+  return {it->second, inserted};
 }
 
 MemberState SwimMember::state_of(net::NodeId peer) const {
@@ -76,10 +138,11 @@ MemberState SwimMember::state_of(net::NodeId peer) const {
 
 std::vector<net::NodeId> SwimMember::alive_peers() const {
   std::vector<net::NodeId> out;
-  for (const auto& [peer, info] : members_) {
-    if (info.state != MemberState::kDead) out.push_back(peer);
+  for (const Member* member : by_id_) {
+    if (member->second.state != MemberState::kDead) {
+      out.push_back(member->first);
+    }
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -102,6 +165,7 @@ void SwimMember::on_recover() {
   for (auto& [peer, info] : members_) {
     info = MemberInfo{};  // start optimistic; probing corrects quickly
   }
+  suspects_ = 0;
   enqueue_update({id(), MemberState::kAlive, incarnation_});
   every(cfg_.period, [this] { protocol_period(); });
   if (cfg_.dead_probe_interval > sim::kSimTimeZero) {
@@ -117,12 +181,13 @@ void SwimMember::protocol_period() {
 }
 
 void SwimMember::probe_dead() {
-  std::vector<net::NodeId> dead;
-  for (const auto& [peer, info] : members_) {
-    if (info.state == MemberState::kDead) dead.push_back(peer);
+  std::vector<net::NodeId> dead;  // in id order (determinism)
+  for (const Member* member : by_id_) {
+    if (member->second.state == MemberState::kDead) {
+      dead.push_back(member->first);
+    }
   }
   if (dead.empty()) return;
-  std::sort(dead.begin(), dead.end());  // determinism
   // Batch size scales with the dead set so that full coverage takes a
   // bounded number of intervals regardless of how many verdicts a mass
   // false-death event left behind; the rotating cursor makes selection
@@ -278,12 +343,14 @@ void SwimMember::apply(const MemberUpdate& update) {
     }
     return;
   }
-  auto [it, inserted] = members_.try_emplace(update.member, MemberInfo{});
-  MemberInfo& info = it->second;
+  auto [info, inserted] = admit(update.member);
   if (inserted) {
     info.state = update.state;
     info.incarnation = update.incarnation;
-    if (info.state == MemberState::kSuspect) info.suspected_at = now();
+    if (info.state == MemberState::kSuspect) {
+      info.suspected_at = now();
+      ++suspects_;
+    }
     enqueue_update(update);
     return;
   }
@@ -298,6 +365,8 @@ void SwimMember::mark(net::NodeId peer, MemberState state,
   const MemberState old = info.state;
   info.state = state;
   info.incarnation = incarnation;
+  if (old == MemberState::kSuspect) --suspects_;
+  if (state == MemberState::kSuspect) ++suspects_;
   if (state == MemberState::kSuspect && old != MemberState::kSuspect) {
     info.suspected_at = now();
     // Parent on the peer's open incident (if its endpoint actually went
@@ -355,47 +424,23 @@ void SwimMember::enqueue_update(const MemberUpdate& update) {
   const double n = static_cast<double>(std::max<std::size_t>(members_.size(), 2));
   const int budget = std::max(
       1, static_cast<int>(std::lround(cfg_.retransmit_factor * std::log2(n))));
-  // Newer assertion about a member supersedes any queued one.
-  std::erase_if(outbox_, [&](const OutstandingUpdate& o) {
-    return o.update.member == update.member;
-  });
-  outbox_.push_back(OutstandingUpdate{update, budget});
+  outbox_.push(update, budget);
 }
 
 std::vector<MemberUpdate> SwimMember::take_piggyback() {
-  // Least-transmitted first (the SWIM paper's piggyback policy). A plain
-  // FIFO scan starves the outbox tail once the view is large: after a
-  // mass-suspicion storm (~n queued updates, a handful of slots, ~24
-  // transmissions each) a refutation enqueued at the back would wait
-  // outbox/slots full budgets before its first ride, so dead verdicts
-  // outlive any realistic quiescent period. Serving the freshest (highest
-  // remaining budget) entries gets refutations on the wire immediately;
-  // the stable sort keeps equal-budget entries in insertion order
-  // (deterministic).
-  if (outbox_.size() > static_cast<std::size_t>(cfg_.max_piggyback)) {
-    std::stable_sort(outbox_.begin(), outbox_.end(),
-                     [](const OutstandingUpdate& a,
-                        const OutstandingUpdate& b) {
-                       return a.remaining_transmissions >
-                              b.remaining_transmissions;
-                     });
-  }
-  std::vector<MemberUpdate> out;
-  for (auto& o : outbox_) {
-    if (out.size() >= static_cast<std::size_t>(cfg_.max_piggyback)) break;
-    out.push_back(o.update);
-    --o.remaining_transmissions;
-  }
-  std::erase_if(outbox_, [](const OutstandingUpdate& o) {
-    return o.remaining_transmissions <= 0;
-  });
-  return out;
+  return outbox_.take(static_cast<std::size_t>(cfg_.max_piggyback));
 }
 
 void SwimMember::check_suspects() {
-  for (auto& [peer, info] : members_) {
-    if (info.state == MemberState::kSuspect &&
-        now() - info.suspected_at >= cfg_.suspect_timeout) {
+  // Verdicts are traced and fire callbacks, so suspects are visited in the
+  // map's own order; the walk ends at the last current suspect.
+  std::size_t unvisited = suspects_;
+  for (auto it = members_.begin(); unvisited > 0 && it != members_.end();
+       ++it) {
+    auto& [peer, info] = *it;
+    if (info.state != MemberState::kSuspect) continue;
+    --unvisited;
+    if (now() - info.suspected_at >= cfg_.suspect_timeout) {
       mark(peer, MemberState::kDead, info.incarnation);
       enqueue_update({peer, MemberState::kDead, info.incarnation});
     }
@@ -404,13 +449,14 @@ void SwimMember::check_suspects() {
 
 std::vector<net::NodeId> SwimMember::shuffled_alive(std::size_t max_count,
                                                     net::NodeId exclude) {
-  std::vector<net::NodeId> candidates;
-  for (const auto& [peer, info] : members_) {
-    if (peer != exclude && info.state != MemberState::kDead) {
-      candidates.push_back(peer);
+  std::vector<net::NodeId> candidates;  // in id order (determinism)
+  candidates.reserve(by_id_.size());
+  for (const Member* member : by_id_) {
+    if (member->first != exclude &&
+        member->second.state != MemberState::kDead) {
+      candidates.push_back(member->first);
     }
   }
-  std::sort(candidates.begin(), candidates.end());  // determinism
   rng_.shuffle(candidates);
   if (candidates.size() > max_count) candidates.resize(max_count);
   return candidates;

@@ -19,10 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/node.hpp"
@@ -66,11 +66,74 @@ struct SwimConfig {
   int dead_probe_coverage_rounds = 5;
 };
 
+/// Membership updates waiting to ride on outgoing messages, each with a
+/// retransmission budget.
+///
+/// take() serves the least-transmitted first (the SWIM paper's piggyback
+/// policy). A plain FIFO scan starves the queue's tail once the view is
+/// large: after a mass-suspicion storm (~n queued updates, a handful of
+/// slots, ~24 transmissions each) a refutation enqueued at the back would
+/// wait queue/slots full budgets before its first ride, so dead verdicts
+/// outlive any realistic quiescent period. Serving the freshest (highest
+/// remaining budget) entries gets refutations on the wire immediately.
+class PiggybackQueue {
+ public:
+  /// Queue `update` for `budget` transmissions. A newer assertion about a
+  /// member supersedes any queued one.
+  void push(const MemberUpdate& update, int budget);
+
+  /// Up to `max` updates for one message; each taken entry spends one
+  /// transmission and leaves the queue when its budget is spent. When more
+  /// than `max` are queued, the queue is first reordered by remaining
+  /// budget, highest first, equal budgets in queue order: the order
+  /// std::stable_sort gives, by a counting sort into reused buffers. A
+  /// non-empty result has room for one more update (callers may append a
+  /// verdict about the peer they are writing to).
+  [[nodiscard]] std::vector<MemberUpdate> take(std::size_t max);
+
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    MemberUpdate update;
+    int remaining = 0;
+  };
+
+  void order_by_remaining();
+
+  std::vector<Entry> entries_;
+  // Counting-sort scratch, kept across calls so a take allocates only its
+  // result: the sorted copy (swapped with entries_) and bucket offsets.
+  std::vector<Entry> sorted_;
+  std::vector<std::uint32_t> bucket_start_;
+};
+
 /// Per-node SWIM agent. Construct one per participating node, seed all of
 /// them with the full peer list (or let joins propagate), then start().
 class SwimMember : public net::Node {
  public:
   SwimMember(net::Network& network, SwimConfig config = {});
+
+  // Wire messages.
+  struct Ping {
+    std::uint64_t seq;
+    std::vector<MemberUpdate> updates;
+  };
+  struct Ack {
+    std::uint64_t seq;
+    std::vector<MemberUpdate> updates;
+  };
+  struct PingReq {
+    std::uint64_t seq;
+    net::NodeId target;
+    std::vector<MemberUpdate> updates;
+  };
+  // Ack relayed back by an indirect prober.
+  struct IndirectAck {
+    std::uint64_t seq;
+    net::NodeId target;
+    std::vector<MemberUpdate> updates;
+  };
 
   /// Introduce a known peer as initially alive (bootstrap).
   void add_peer(net::NodeId peer);
@@ -95,26 +158,6 @@ class SwimMember : public net::Node {
   void on_crash() override;
 
  private:
-  struct Ping {
-    std::uint64_t seq;
-    std::vector<MemberUpdate> updates;
-  };
-  struct Ack {
-    std::uint64_t seq;
-    std::vector<MemberUpdate> updates;
-  };
-  struct PingReq {
-    std::uint64_t seq;
-    net::NodeId target;
-    std::vector<MemberUpdate> updates;
-  };
-  // Ack relayed back by an indirect prober.
-  struct IndirectAck {
-    std::uint64_t seq;
-    net::NodeId target;
-    std::vector<MemberUpdate> updates;
-  };
-
   struct MemberInfo {
     MemberState state = MemberState::kAlive;
     std::uint32_t incarnation = 0;
@@ -122,11 +165,6 @@ class SwimMember : public net::Node {
     // Open suspicion span; dead/alive transitions close it (the dead span
     // becomes its child, so incident -> suspect -> dead reads as a chain).
     obs::SpanContext suspect_span;
-  };
-
-  struct OutstandingUpdate {
-    MemberUpdate update;
-    int remaining_transmissions;
   };
 
   void protocol_period();
@@ -138,6 +176,8 @@ class SwimMember : public net::Node {
   void on_indirect_ack(net::NodeId from, const IndirectAck& ack);
   void ack_received_for(net::NodeId target);
 
+  /// members_.try_emplace that also files a new member in by_id_.
+  std::pair<MemberInfo&, bool> admit(net::NodeId peer);
   void apply_updates(const std::vector<MemberUpdate>& updates);
   void apply(const MemberUpdate& update);
   void enqueue_update(const MemberUpdate& update);
@@ -157,8 +197,15 @@ class SwimMember : public net::Node {
   std::uint64_t next_seq_ = 1;
   // Round-robin position over the (sorted) dead set for probe_dead().
   std::size_t dead_probe_cursor_ = 0;
+  // Iteration order of members_ is part of the trace (check_suspects marks
+  // in it), so the map stays the owner; by_id_ is a view of the same
+  // entries in id order for the draws that need a sorted candidate list.
+  // Members are never removed, and map nodes do not move on rehash.
   std::unordered_map<net::NodeId, MemberInfo> members_;
-  std::deque<OutstandingUpdate> outbox_;
+  using Member = decltype(members_)::value_type;
+  std::vector<const Member*> by_id_;
+  std::size_t suspects_ = 0;  // members_ entries in kSuspect
+  PiggybackQueue outbox_;
   // Probes awaiting an ack (direct or indirect), keyed by target.
   std::unordered_map<net::NodeId, sim::EventId> awaiting_;
   // Relays we owe an IndirectAck for: (target -> requesters).

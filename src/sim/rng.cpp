@@ -59,16 +59,35 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
   if (k > n) k = n;
-  // Partial Fisher–Yates over an index vector; O(n) setup is fine at the
-  // population sizes the simulator deals in.
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  // Partial Fisher–Yates over the virtual array idx[p] = p, with the same
+  // below() draws as swapping a materialized one. Step i swaps idx[i] with
+  // idx[j], j >= i; position i is final after that, so only the value
+  // moved to j must be remembered. Those live in an open-addressing table
+  // (position + 1 -> value, 0 = empty, at most half full) behind the k
+  // results in the same allocation: O(k) expected work instead of
+  // building all n indices to return k (a gossip round draws 2 of 199).
+  std::size_t slots = 4;
+  while (slots < 2 * k) slots *= 2;
+  std::vector<std::size_t> out(k + 2 * slots);
+  std::size_t* const table = out.data() + k;
+  // The slot holding `pos`, or the empty slot where it would go.
+  const auto slot_for = [table, mask = slots - 1](std::size_t pos) {
+    for (std::size_t s = pos & mask;; s = (s + 1) & mask) {
+      std::size_t* const slot = table + 2 * s;
+      if (slot[0] == 0 || slot[0] == pos + 1) return slot;
+    }
+  };
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t j = i + static_cast<std::size_t>(below(n - i));
-    std::swap(idx[i], idx[j]);
+    std::size_t* const at_j = slot_for(j);
+    const std::size_t* const at_i = slot_for(i);
+    out[i] = at_j[0] != 0 ? at_j[1] : j;
+    const std::size_t moved = at_i[0] != 0 ? at_i[1] : i;
+    at_j[0] = j + 1;
+    at_j[1] = moved;
   }
-  idx.resize(k);
-  return idx;
+  out.resize(k);
+  return out;
 }
 
 }  // namespace riot::sim

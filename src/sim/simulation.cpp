@@ -1,5 +1,6 @@
 #include "sim/simulation.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -114,10 +115,43 @@ bool Simulation::cancel(EventId id) {
   return true;
 }
 
+void Simulation::sift_up(std::size_t hole) {
+  const QueuedEvent moving = queue_[hole];
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kHeapArity;
+    if (!runs_before(moving, queue_[parent])) break;
+    queue_[hole] = queue_[parent];
+    hole = parent;
+  }
+  queue_[hole] = moving;
+}
+
+void Simulation::sift_down(std::size_t hole, QueuedEvent moving) {
+  const std::size_t size = queue_.size();
+  while (true) {
+    const std::size_t first = hole * kHeapArity + 1;
+    if (first >= size) break;
+    const std::size_t end = std::min(first + kHeapArity, size);
+    std::size_t best = first;
+    for (std::size_t child = first + 1; child < end; ++child) {
+      if (runs_before(queue_[child], queue_[best])) best = child;
+    }
+    if (!runs_before(queue_[best], moving)) break;
+    queue_[hole] = queue_[best];
+    hole = best;
+  }
+  queue_[hole] = moving;
+}
+
 void Simulation::compact_queue() {
   std::erase_if(queue_,
                 [this](const QueuedEvent& qe) { return entry_stale(qe); });
-  std::make_heap(queue_.begin(), queue_.end(), Later{});
+  // Bottom-up rebuild: sift every internal node down, last parent first.
+  if (queue_.size() > 1) {
+    for (std::size_t i = (queue_.size() - 2) / kHeapArity + 1; i-- > 0;) {
+      sift_down(i, queue_[i]);
+    }
+  }
   tombstones_ = 0;
 }
 

@@ -134,6 +134,19 @@ TEST_F(MapeTest, LtlMonitorResetsAfterViolation) {
   EXPECT_GE(loop.violations_raised(), 4u);
 }
 
+TEST_F(MapeTest, LtlViolationDetailNamesTheFailedObligation) {
+  MapeLoop loop(network, sim::millis(100));
+  loop.add_ltl_analyzer("inv", model::ltl::always(model::ltl::prop("ok")),
+                        [](const KnowledgeBase&) {
+                          return model::ltl::State{};  // "ok" never holds
+                        });
+  loop.start();
+  sim.run_until(sim::millis(150));
+  ASSERT_EQ(loop.last_violations().size(), 1u);
+  const std::string& detail = loop.last_violations()[0].detail;
+  EXPECT_NE(detail.find("ok"), std::string::npos) << detail;
+}
+
 TEST_F(MapeTest, MtlAnalyzerFiresOnDeadline) {
   MapeLoop loop(network, sim::millis(100));
   loop.add_ltl_analyzer(

@@ -8,7 +8,9 @@
 // ServingFabric window stays at or below one allocation per request. One
 // anti-entropy exchange between converged CrdtStores costs a fixed number
 // of allocations, however many tags their OR-Set has collected. Delivery
-// on the sharded fabric, cross-shard exchange included, makes none.
+// on the sharded fabric, cross-shard exchange included, makes none. A SWIM
+// member answering a ping allocates only the update list its ack carries,
+// even when its piggyback queue must be reordered first.
 // Counts come from a global operator new (as in bench_scale), so this file
 // is its own test binary.
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <string>
 
 #include "data/crdt_store.hpp"
+#include "membership/swim.hpp"
 #include "net/rpc.hpp"
 #include "net/shard_net.hpp"
 #include "net_fixture.hpp"
@@ -253,6 +256,46 @@ TEST_F(AllocCrdtTest, ConvergedExchangeCostDoesNotGrowWithTags) {
   // the round draws its pick list. Merging tags both sides already hold
   // allocates nothing.
   EXPECT_LE(at_300, 21u);
+}
+
+struct AllocSwimTest : testing::NetFixture {
+  /// Pings the member and counts the updates its acks carry.
+  struct Prober : net::Node {
+    explicit Prober(net::Network& network) : net::Node(network) {
+      on<membership::SwimMember::Ack>(
+          [this](net::NodeId, const membership::SwimMember::Ack& ack) {
+            ++acks;
+            carried += ack.updates.size();
+          });
+    }
+    std::uint64_t acks = 0;
+    std::uint64_t carried = 0;
+  };
+};
+
+TEST_F(AllocSwimTest, PingWithLongOutboxAllocatesOnlyTheAckUpdates) {
+  // Never started, so only the prober's pings drive the member.
+  membership::SwimMember member(network);
+  Prober prober(network);
+  const auto slots =
+      static_cast<std::uint64_t>(membership::SwimConfig{}.max_piggyback);
+  // Rumours about 40 members it has never heard of: each is admitted and
+  // queued, so its outbox holds far more than one ack's slots.
+  std::vector<membership::MemberUpdate> rumours;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    rumours.push_back({net::NodeId{1000 + i}, membership::MemberState::kAlive,
+                       1});
+  }
+  prober.send(member.id(), membership::SwimMember::Ping{1, rumours});
+  sim.run_for(sim::millis(100));
+  std::uint64_t seq = 2;
+  const std::uint64_t allocs = steady_allocs([&] {
+    prober.send(member.id(), membership::SwimMember::Ping{seq++, {}});
+    sim.run_for(sim::millis(100));
+  });
+  ASSERT_EQ(prober.acks, 5u);
+  EXPECT_EQ(prober.carried, 5 * slots) << "every ack rides full";
+  EXPECT_EQ(allocs, 1u);
 }
 
 struct Ball {};

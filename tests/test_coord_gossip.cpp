@@ -2,12 +2,63 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "net_fixture.hpp"
 
 namespace riot::coord {
+
+// The digest receipt before stores were kept sorted: one store scan per
+// digest entry, then a scan of the matched entries per store entry. Any
+// store order, any digest order. Kept as the reference the merge is
+// checked against.
+namespace reference {
+
+using Store = std::vector<std::pair<std::string, VersionedValue>>;
+
+struct Reconciled {
+  Store ahead;
+  std::vector<std::string> want;
+};
+
+Reconciled reconcile(const Store& store,
+                     const std::vector<GossipNode::DigestEntry>& digest) {
+  Reconciled out;
+  std::vector<const VersionedValue*> matched;
+  for (const auto& entry : digest) {
+    const VersionedValue* found = nullptr;
+    for (const auto& [k, v] : store) {
+      if (k == entry.key) found = &v;
+    }
+    if (found == nullptr) {
+      out.want.push_back(entry.key);
+      continue;
+    }
+    matched.push_back(found);
+    if (std::tie(entry.epoch, entry.version, entry.origin) >
+        std::tie(found->epoch, found->version, found->origin)) {
+      out.want.push_back(entry.key);
+    } else if (found->epoch != entry.epoch ||
+               found->version != entry.version ||
+               found->origin != entry.origin) {
+      out.ahead.emplace_back(entry.key, *found);
+    }
+  }
+  for (const auto& [key, value] : store) {
+    if (std::find(matched.begin(), matched.end(), &value) == matched.end()) {
+      out.ahead.emplace_back(key, value);
+    }
+  }
+  return out;
+}
+
+}  // namespace reference
+
 namespace {
 
 using riot::testing::NetFixture;
@@ -132,6 +183,122 @@ TEST_F(GossipTest, ManyKeysConverge) {
   sim.run_until(sim::seconds(20));
   for (auto& node : nodes) {
     EXPECT_EQ(node->store_size(), 20u) << "node " << node->id().value;
+  }
+}
+
+TEST_F(GossipTest, SetPeersKeepsFirstOccurrencesAndDropsSelf) {
+  GossipNode node(network);
+  const net::NodeId self = node.id();
+  const net::NodeId a{self.value + 7}, b{self.value + 3}, c{self.value + 11};
+  node.set_peers({b, self, a, b, c, a, self, b});
+  EXPECT_EQ(node.peers(), (std::vector<net::NodeId>{b, a, c}));
+  node.set_peers({});
+  EXPECT_TRUE(node.peers().empty());
+  node.set_peers({self, c});
+  EXPECT_EQ(node.peers(), (std::vector<net::NodeId>{c}));
+}
+
+/// Sends digests and store contents to a GossipNode and records what the
+/// node answers.
+struct GossipProbe : net::Node {
+  explicit GossipProbe(net::Network& network) : net::Node(network) {
+    on<GossipNode::Delta>([this](net::NodeId, const GossipNode::Delta& d) {
+      deltas.push_back(d);
+    });
+    on<GossipNode::DigestRequest>(
+        [this](net::NodeId, const GossipNode::DigestRequest& r) {
+          requests.push_back(r);
+        });
+  }
+  std::vector<GossipNode::Delta> deltas;
+  std::vector<GossipNode::DigestRequest> requests;
+};
+
+TEST_F(GossipTest, DigestMergeMatchesDoubleScanReference) {
+  // Random stores against random digests over a 24-key pool: keys only
+  // one side holds, keys both hold at equal, newer and older versions, and
+  // empty digests. The node's replies must carry the reference's entries.
+  GossipProbe probe(network);
+  sim::Rng rng(2323);
+  const auto stamp = [&rng](VersionedValue& v) {
+    v.epoch = static_cast<std::uint32_t>(rng.below(2));
+    v.version = 1 + rng.below(3);
+    v.origin = static_cast<std::uint32_t>(1 + rng.below(3));
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    // A fresh node per trial; nodes stay alive (registered endpoints) until
+    // the fixture ends.
+    nodes.push_back(std::make_unique<GossipNode>(network));
+    GossipNode& node = *nodes.back();
+    reference::Store store;
+    std::vector<GossipNode::DigestEntry> digest;
+    const bool empty_digest = trial % 10 == 0;
+    for (int k = 0; k < 24; ++k) {
+      const std::string key = "key" + std::to_string(k);
+      const bool local = rng.chance(0.6);
+      const bool remote = !empty_digest && rng.chance(0.6);
+      VersionedValue mine;
+      if (local) {
+        stamp(mine);
+        mine.value = "v" + std::to_string(rng.below(1000));
+        store.emplace_back(key, mine);
+      }
+      if (remote) {
+        VersionedValue theirs = mine;
+        if (!local || rng.chance(0.7)) stamp(theirs);  // else: equal
+        digest.push_back(GossipNode::DigestEntry{
+            key, theirs.epoch, theirs.version, theirs.origin});
+      }
+    }
+    // A digest lists keys in string order ("key10" before "key2"), as a
+    // sender's sorted store does; the reference takes any store order.
+    std::sort(digest.begin(), digest.end(),
+              [](const auto& x, const auto& y) { return x.key < y.key; });
+    rng.shuffle(store);
+    probe.send(node.id(), GossipNode::Delta{store});
+    sim.run_for(sim::seconds(1));
+    ASSERT_EQ(node.store_size(), store.size());
+
+    probe.deltas.clear();
+    probe.requests.clear();
+    probe.send(node.id(),
+               GossipNode::Digest{
+                   empty_digest && trial % 20 == 0
+                       ? nullptr
+                       : std::make_shared<const std::vector<
+                             GossipNode::DigestEntry>>(digest)});
+    sim.run_for(sim::seconds(1));
+
+    const reference::Reconciled expected = reference::reconcile(store, digest);
+    ASSERT_LE(probe.deltas.size(), 1u);
+    ASSERT_LE(probe.requests.size(), 1u);
+    reference::Store ahead =
+        probe.deltas.empty() ? reference::Store{} : probe.deltas[0].entries;
+    std::vector<std::string> want =
+        probe.requests.empty() ? std::vector<std::string>{}
+                               : probe.requests[0].keys;
+    const std::uint32_t expected_size =
+        GossipNode::Delta{expected.ahead}.wire_size();
+    EXPECT_EQ(GossipNode::Delta{ahead}.wire_size(), expected_size);
+    const auto by_key = [](const auto& x, const auto& y) {
+      return x.first < y.first;
+    };
+    std::sort(ahead.begin(), ahead.end(), by_key);
+    reference::Store expected_ahead = expected.ahead;
+    std::sort(expected_ahead.begin(), expected_ahead.end(), by_key);
+    ASSERT_EQ(ahead.size(), expected_ahead.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < ahead.size(); ++i) {
+      const VersionedValue& got = ahead[i].second;
+      const VersionedValue& exp = expected_ahead[i].second;
+      EXPECT_EQ(ahead[i].first, expected_ahead[i].first) << "trial " << trial;
+      EXPECT_EQ(std::tie(got.value, got.epoch, got.version, got.origin),
+                std::tie(exp.value, exp.epoch, exp.version, exp.origin))
+          << "trial " << trial << " key " << ahead[i].first;
+    }
+    std::vector<std::string> expected_want = expected.want;
+    std::sort(want.begin(), want.end());
+    std::sort(expected_want.begin(), expected_want.end());
+    EXPECT_EQ(want, expected_want) << "trial " << trial;
   }
 }
 

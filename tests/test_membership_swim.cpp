@@ -2,12 +2,58 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
 #include <vector>
 
 #include "net_fixture.hpp"
 
 namespace riot::membership {
+
+// The piggyback queue before the counting sort: a deque reordered by
+// std::stable_sort whenever it holds more than `max` updates. Kept as the
+// reference PiggybackQueue is checked against.
+namespace reference {
+
+class PiggybackQueue {
+ public:
+  void push(const MemberUpdate& update, int budget) {
+    std::erase_if(queue_, [&](const Entry& e) {
+      return e.update.member == update.member;
+    });
+    queue_.push_back(Entry{update, budget});
+  }
+
+  std::vector<MemberUpdate> take(std::size_t max) {
+    if (queue_.size() > max) {
+      std::stable_sort(queue_.begin(), queue_.end(),
+                       [](const Entry& a, const Entry& b) {
+                         return a.remaining > b.remaining;
+                       });
+    }
+    std::vector<MemberUpdate> out;
+    for (auto& e : queue_) {
+      if (out.size() >= max) break;
+      out.push_back(e.update);
+      --e.remaining;
+    }
+    std::erase_if(queue_, [](const Entry& e) { return e.remaining <= 0; });
+    return out;
+  }
+
+  [[nodiscard]] std::size_t size() const { return queue_.size(); }
+
+ private:
+  struct Entry {
+    MemberUpdate update;
+    int remaining;
+  };
+  std::deque<Entry> queue_;
+};
+
+}  // namespace reference
+
 namespace {
 
 using riot::testing::NetFixture;
@@ -165,6 +211,41 @@ TEST_F(SwimTest, MessageLoadPerMemberIsBounded) {
       static_cast<double>(network.messages_sent()) / 10.0 / 10.0;
   // Each period: 1 ping + 1 ack (+ occasional indirect) — single digits.
   EXPECT_LT(msgs_per_member_second, 10.0);
+}
+
+TEST(PiggybackQueue, TakesInStableSortOrder) {
+  // Random pushes (re-pushes supersede) and takes with `max` both above
+  // and below the queue length; every take must return the reference's
+  // updates in the reference's order.
+  sim::Rng rng(4242);
+  for (int trial = 0; trial < 50; ++trial) {
+    PiggybackQueue queue;
+    reference::PiggybackQueue expected;
+    const auto pool = static_cast<std::uint32_t>(1 + rng.below(60));
+    for (int op = 0; op < 400; ++op) {
+      if (rng.chance(0.6)) {
+        const MemberUpdate update{
+            net::NodeId{static_cast<std::uint32_t>(rng.below(pool))},
+            static_cast<MemberState>(rng.below(3)),
+            static_cast<std::uint32_t>(rng.below(5))};
+        const int budget = static_cast<int>(1 + rng.below(24));
+        queue.push(update, budget);
+        expected.push(update, budget);
+        continue;
+      }
+      const std::size_t max = rng.below(20);
+      const std::vector<MemberUpdate> got = queue.take(max);
+      const std::vector<MemberUpdate> want = expected.take(max);
+      ASSERT_EQ(got.size(), want.size()) << "trial " << trial << " op " << op;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].member, want[i].member) << "trial " << trial;
+        EXPECT_EQ(got[i].state, want[i].state) << "trial " << trial;
+        EXPECT_EQ(got[i].incarnation, want[i].incarnation)
+            << "trial " << trial;
+      }
+      ASSERT_EQ(queue.size(), expected.size());
+    }
+  }
 }
 
 // Detection works across group sizes (property sweep).

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace riot::sim {
@@ -168,6 +169,46 @@ TEST(Rng, SampleIndicesDistinctAndBounded) {
     EXPECT_EQ(unique.size(), 4u);
     for (const auto idx : sample) EXPECT_LT(idx, 10u);
   }
+}
+
+namespace reference {
+
+// sample_indices before the sparse record: a partial Fisher–Yates over a
+// materialized index vector.
+std::vector<std::size_t> sample_indices(Rng& rng, std::size_t n,
+                                        std::size_t k) {
+  if (k > n) k = n;
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(rng.below(n - i));
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+}  // namespace reference
+
+TEST(Rng, SampleIndicesMatchDenseFisherYates) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {0, 0},   {0, 3},   {1, 1},   {2, 1},    {4, 1},    {5, 5},
+      {10, 4},  {10, 12}, {199, 2}, {199, 3},  {200, 150}, {200, 199},
+      {64, 64}, {1000, 7}};
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    for (const auto& [n, k] : shapes) {
+      Rng sparse(seed);
+      Rng dense(seed);
+      EXPECT_EQ(sparse.sample_indices(n, k),
+                reference::sample_indices(dense, n, k))
+          << "seed " << seed << " n " << n << " k " << k;
+      EXPECT_EQ(sparse(), dense()) << "same draws consumed";
+    }
+  }
+  // Pinned: a gossip round's fanout-2 draw from 199 peers.
+  Rng rng(7);
+  EXPECT_EQ(rng.sample_indices(199, 2), (std::vector<std::size_t>{139, 56}));
+  EXPECT_EQ(rng.sample_indices(10, 4), (std::vector<std::size_t>{8, 9, 1, 2}));
 }
 
 TEST(Rng, SampleIndicesCapsAtPopulation) {

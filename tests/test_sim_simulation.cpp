@@ -2,13 +2,106 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <queue>
 #include <stdexcept>
+#include <tuple>
+#include <type_traits>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "sim/trace.hpp"
 
 namespace riot::sim {
+
+// The kernel's contract on a std::priority_queue over (at, seq): one-shots
+// retire before they run, periodics re-arm (taking the next seq) before
+// they run, cancellation marks the event dead and its queued entry is
+// skipped when it surfaces. The execution order Simulation's heap is
+// checked against.
+namespace reference {
+
+class Kernel {
+ public:
+  using Id = std::uint64_t;
+
+  [[nodiscard]] SimTime now() const { return now_; }
+  [[nodiscard]] Id current_event() const { return current_; }
+
+  Id schedule_at(SimTime at, std::function<void()> fn) {
+    return add(at, kSimTimeZero, std::move(fn));
+  }
+  Id schedule_every(SimTime initial_delay, SimTime period,
+                    std::function<void()> fn) {
+    return add(now_ + initial_delay, period, std::move(fn));
+  }
+  bool cancel(Id id) {
+    const auto it = events_.find(id);
+    if (it == events_.end() || !it->second.live) return false;
+    it->second.live = false;
+    return true;
+  }
+  void run_until(SimTime deadline) {
+    while (!queue_.empty()) {
+      const Entry top = queue_.top();
+      Event& event = events_.at(top.id);
+      if (!event.live) {
+        queue_.pop();
+        continue;
+      }
+      if (top.at > deadline) break;
+      queue_.pop();
+      now_ = top.at;
+      current_ = top.id;
+      if (event.period > kSimTimeZero) {
+        queue_.push(Entry{top.at + event.period, next_seq_++, top.id});
+        const std::function<void()> fn = event.fn;
+        fn();
+      } else {
+        event.live = false;
+        const std::function<void()> fn = std::move(event.fn);
+        fn();
+      }
+    }
+    if (now_ < deadline) now_ = deadline;
+  }
+
+ private:
+  struct Entry {
+    SimTime at;
+    std::uint64_t seq;
+    Id id;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return std::tie(a.at, a.seq) > std::tie(b.at, b.seq);
+    }
+  };
+  struct Event {
+    std::function<void()> fn;
+    SimTime period;
+    bool live;
+  };
+
+  Id add(SimTime at, SimTime period, std::function<void()> fn) {
+    const Id id = next_id_++;
+    events_.emplace(id, Event{std::move(fn), period, true});
+    queue_.push(Entry{at, next_seq_++, id});
+    return id;
+  }
+
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::unordered_map<Id, Event> events_;
+  std::uint64_t next_seq_ = 0;
+  Id next_id_ = 1;
+  Id current_ = 0;
+  SimTime now_ = kSimTimeZero;
+};
+
+}  // namespace reference
+
 namespace {
 
 TEST(Simulation, StartsAtZero) {
@@ -384,6 +477,92 @@ TEST(Simulation, CancelStormKeepsQueueBounded) {
   sim.run_until(seconds(5));
   EXPECT_EQ(sim.executed_events(), 0u);
   EXPECT_EQ(sim.pending_events(), kTimers);
+}
+
+// Random schedule / cancel / periodic / self-cancel churn driven by its
+// own generator. The draws are taken inside the callbacks, so two kernels
+// stay in step exactly as long as they execute the same events in the same
+// order; the log records every execution and every cancel's result.
+template <typename Kernel>
+struct ChurnScript {
+  using Id = decltype(std::declval<Kernel&>().current_event());
+
+  ChurnScript(Kernel& kernel, std::uint64_t seed) : k(kernel), rng(seed) {}
+
+  static constexpr int kMaxEvents = 4000;  // keeps the population finite
+
+  void spawn() {
+    const int label = next_label++;
+    // Millisecond granularity makes equal timestamps (FIFO ties) common.
+    const SimTime delay = millis(static_cast<std::int64_t>(rng.below(20)));
+    if (rng.chance(0.2)) {
+      const SimTime period =
+          millis(static_cast<std::int64_t>(1 + rng.below(10)));
+      ids.push_back(k.schedule_every(delay, period, [this, label] {
+        fire(label);
+        if (rng.chance(0.1)) log.push_back({-2, k.cancel(k.current_event())});
+      }));
+    } else {
+      ids.push_back(
+          k.schedule_at(k.now() + delay, [this, label] { fire(label); }));
+    }
+  }
+
+  void fire(int label) {
+    log.push_back({label, k.now().count()});
+    if (next_label < kMaxEvents && rng.chance(0.5)) spawn();
+    if (next_label < kMaxEvents && rng.chance(0.4)) spawn();
+    // Now and then a storm of cancels among the newest events, which are
+    // mostly still pending: that is what makes tombstones pile up.
+    const int cancels = rng.chance(0.02) ? 150 : rng.chance(0.5) ? 1 : 0;
+    for (int c = 0; c < cancels && !ids.empty(); ++c) {
+      const std::size_t back = std::min<std::size_t>(ids.size(), 300);
+      const bool cancelled =
+          k.cancel(ids[ids.size() - 1 - rng.below(back)]);
+      log.push_back({-1, cancelled});
+      if constexpr (std::is_same_v<Kernel, Simulation>) {
+        // Right after a cancel, compaction has held the heap to twice the
+        // live events (it does not run below 64 entries).
+        EXPECT_LE(k.queued_entries(),
+                  std::max<std::size_t>(2 * k.pending_events(), 63));
+        // A cancel leaves a tombstone unless it compacted the heap.
+        if (cancelled && k.queued_entries() == k.pending_events()) {
+          ++compactions;
+        }
+      }
+    }
+  }
+
+  Kernel& k;
+  Rng rng;
+  std::vector<Id> ids;
+  std::vector<std::pair<int, std::int64_t>> log;
+  int next_label = 0;
+  int compactions = 0;
+};
+
+TEST(Simulation, ExecutionOrderMatchesReferenceQueueUnderChurn) {
+  int compactions = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Simulation sim;
+    ChurnScript<Simulation> actual(sim, seed);
+    reference::Kernel ref;
+    ChurnScript<reference::Kernel> expected(ref, seed);
+    for (int i = 0; i < 400; ++i) {
+      actual.spawn();
+      expected.spawn();
+    }
+    for (const std::int64_t until : {50, 51, 400, 1000}) {
+      sim.run_until(millis(until));
+      ref.run_until(millis(until));
+    }
+    ASSERT_GT(actual.log.size(), 10'000u);
+    ASSERT_EQ(actual.log.size(), expected.log.size()) << "seed " << seed;
+    EXPECT_TRUE(actual.log == expected.log) << "seed " << seed;
+    EXPECT_EQ(sim.now(), ref.now());
+    compactions += actual.compactions;
+  }
+  EXPECT_GT(compactions, 8);
 }
 
 TEST(Simulation, RunBeforeStopsStrictlyBeforeEnd) {
