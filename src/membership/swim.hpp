@@ -102,7 +102,7 @@ class PiggybackQueue {
   void order_by_remaining();
 
   std::vector<Entry> entries_;
-  // Counting-sort scratch, kept across calls so a take allocates only its
+  // Counting-sort buffers, kept across calls so a take allocates only its
   // result: the sorted copy (swapped with entries_) and bucket offsets.
   std::vector<Entry> sorted_;
   std::vector<std::uint32_t> bucket_start_;

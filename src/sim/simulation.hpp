@@ -8,12 +8,11 @@
 //
 // Storage is a slab of generation-tagged event slots (see DESIGN.md §9):
 // the priority queue (a 4-ary min-heap) holds 24-byte POD entries
-// referencing slots, callbacks
-// live in the slab as inline callables (no heap cell for closures up to
-// kInlineCallableBytes), and cancellation is an O(1) generation bump — no
-// per-event hash-set bookkeeping anywhere on the hot path. EventIds encode
-// (generation << 32 | slot), so ids are never reused within a Simulation
-// even though slots are.
+// referencing slots, callbacks live in the slab as inline callables (no
+// heap cell for closures up to kInlineCallableBytes), and cancellation is
+// an O(1) generation bump — no per-event hash-set bookkeeping anywhere on
+// the hot path. EventIds encode (generation << 32 | slot), so ids are never
+// reused within a Simulation even though slots are.
 //
 // Events may carry a component tag (an interned ComponentId resolved once
 // at wiring time); an installed Profiler then receives per-event component
@@ -21,7 +20,6 @@
 // per-component breakdowns without any cost when no profiler is set.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
