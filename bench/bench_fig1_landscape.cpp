@@ -29,14 +29,10 @@ struct Outcome {
 Outcome run(core::MaturityLevel level, double wan_loss, bool partition,
             int sites) {
   core::IoTSystem system(core::SystemConfig{.seed = 7});
-  core::MaturityConfig cfg;
-  cfg.sites = sites;
-  core::MaturityScenario scenario(system, level, cfg);
+  core::MaturityScenario scenario(system, level, {.sites = sites});
   scenario.install();
   // Degrade the WAN only: raise ambient loss on links to/from the cloud by
   // overriding the latency-class losses.
-  auto latency = system.config().latency;
-  (void)latency;
   if (wan_loss > 0.0) {
     // Ambient loss applies to every link; emulate WAN-only degradation by
     // partitioning in the extreme case and by ambient loss scaled down for

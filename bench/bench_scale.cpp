@@ -50,18 +50,17 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "bench_util.hpp"
 #include "coord/gossip.hpp"
 #include "membership/heartbeat.hpp"
@@ -69,40 +68,6 @@
 #include "net/shard_net.hpp"
 #include "net/world.hpp"
 #include "sim/sharded.hpp"
-
-// --- Heap-allocation counter -------------------------------------------------
-// Global operator-new replacement: every heap allocation in the process
-// bumps a counter the delivery rung samples around its measured window.
-// Relaxed atomic: the sharded rung allocates from worker threads, and a
-// plain counter would race. The sized / aligned delete forms are provided
-// so the replacement set stays matched; array and nothrow news forward to
-// the plain form by default.
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  const std::size_t al =
-      std::max(static_cast<std::size_t>(align), sizeof(void*));
-  if (posix_memalign(&p, al, size != 0 ? size : 1) == 0) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace riot::bench {
 namespace {
@@ -192,24 +157,19 @@ PhaseResult run_stack(std::size_t population, double sim_seconds,
   h.network.set_class_link(
       0, 0, net::LinkQuality{sim::micros(500), sim::micros(200), 0.001});
 
-  membership::SwimConfig swim_cfg;
-  coord::GossipConfig gossip_cfg;
-  membership::HeartbeatConfig hb_cfg;
-
   std::vector<Cluster> fleet;
   fleet.reserve(clusters);
   std::vector<net::NodeId> swim_ids;       // churn targets
   std::vector<net::Node*> swim_nodes;
   for (std::size_t c = 0; c < clusters; ++c) {
     Cluster cluster;
-    auto monitor = std::make_unique<membership::HeartbeatMonitor>(h.network,
-                                                                  hb_cfg);
+    auto monitor = std::make_unique<membership::HeartbeatMonitor>(h.network);
     cluster.monitor_id = monitor->id();
     cluster.members.push_back(monitor->id());
 
     std::vector<membership::SwimMember*> swims;
     for (std::size_t i = 0; i < kSwimPerCluster; ++i) {
-      auto m = std::make_unique<membership::SwimMember>(h.network, swim_cfg);
+      auto m = std::make_unique<membership::SwimMember>(h.network);
       swims.push_back(m.get());
       swim_ids.push_back(m->id());
       swim_nodes.push_back(m.get());
@@ -218,7 +178,7 @@ PhaseResult run_stack(std::size_t population, double sim_seconds,
     }
     std::vector<coord::GossipNode*> gossips;
     for (std::size_t i = 0; i < kGossipPerCluster; ++i) {
-      auto g = std::make_unique<coord::GossipNode>(h.network, gossip_cfg);
+      auto g = std::make_unique<coord::GossipNode>(h.network);
       gossips.push_back(g.get());
       cluster.members.push_back(g->id());
       cluster.nodes.push_back(std::move(g));
@@ -227,7 +187,7 @@ PhaseResult run_stack(std::size_t population, double sim_seconds,
         kClusterSize - 1 - kSwimPerCluster - kGossipPerCluster;
     for (std::size_t i = 0; i < emitters; ++i) {
       auto e = std::make_unique<membership::HeartbeatEmitter>(
-          h.network, monitor->id(), hb_cfg);
+          h.network, monitor->id());
       monitor->watch(e->id());
       cluster.members.push_back(e->id());
       cluster.nodes.push_back(std::move(e));
@@ -296,9 +256,9 @@ PhaseResult run_stack(std::size_t population, double sim_seconds,
 
   PhaseResult r;
   const double t0 = now_s();
-  const std::uint64_t allocs0 = g_heap_allocs;
+  const std::uint64_t allocs0 = alloc::heap_allocs();
   h.sim.run_until(sim::millis(static_cast<std::int64_t>(sim_seconds * 1e3)));
-  r.allocs = g_heap_allocs - allocs0;
+  r.allocs = alloc::heap_allocs() - allocs0;
   r.wall_s = now_s() - t0;
   r.events = h.sim.executed_events();
   r.messages = h.network.messages_sent();
@@ -360,12 +320,12 @@ PhaseResult run_delivery(std::size_t population, double sim_seconds) {
   const std::uint64_t events0 = h.sim.executed_events();
   const std::uint64_t delivered0 = h.network.messages_delivered();
   const std::uint64_t bytes0 = h.network.bytes_sent();
-  const std::uint64_t allocs0 = g_heap_allocs;
+  const std::uint64_t allocs0 = alloc::heap_allocs();
   const double t0 = now_s();
   h.sim.run_until(warmup +
                   sim::millis(static_cast<std::int64_t>(window_s * 1e3)));
   r.wall_s = now_s() - t0;
-  r.allocs = g_heap_allocs - allocs0;
+  r.allocs = alloc::heap_allocs() - allocs0;
   r.events = h.sim.executed_events() - events0;
   r.messages = h.network.messages_delivered() - delivered0;
   r.bytes = h.network.bytes_sent() - bytes0;

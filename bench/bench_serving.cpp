@@ -22,6 +22,10 @@
 // with the riot_serving_* / riot_rpc_* registry snapshot of the most
 // adversarial run embedded.
 //
+// allocs/req is every heap allocation from the generator's start to the
+// end of the drain, over the run's arrivals. It is an exact count for a
+// seed, so its ceiling cannot flake.
+//
 // The ladder closes with a closed-loop rung (session users cycling
 // issue -> wait -> think through the same banks and fabric): the
 // self-throttling regime most load generators silently implement, printed
@@ -35,6 +39,7 @@
 //   bench_serving --trim --min-goodput-pct=80 --min-slo-pct=70
 //                 --min-faulted-goodput-pct=30
 //                 --min-closed-goodput-pct=90   # enforce floors (CI)
+//                 --max-allocs-per-request=0.1  # and the allocation ceiling
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
@@ -46,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "bench_util.hpp"
 #include "net/chaos_hooks.hpp"
 #include "net/world.hpp"
@@ -87,6 +93,7 @@ struct RunStats {
   std::uint64_t shed_expired = 0;
   std::uint64_t breaker_open = 0;
   std::uint64_t trace_hash = 0;
+  double allocs_per_request = 0.0;
 
   [[nodiscard]] double goodput_pct() const {
     return arrivals == 0 ? 0.0
@@ -210,6 +217,7 @@ RunStats run_rung(const Rung& rung, bool faulted, std::uint64_t seed,
   }
 
   const sim::SimTime horizon = sim::seconds_f(rung.sim_seconds);
+  const std::uint64_t allocs_before = alloc::heap_allocs();
   if (closed_gen != nullptr) {
     closed_gen->start();
   } else {
@@ -224,9 +232,13 @@ RunStats run_rung(const Rung& rung, bool faulted, std::uint64_t seed,
   // Drain: let in-flight requests resolve (the 600 ms budget bounds them).
   h.sim.run_until(horizon + sim::seconds(2));
 
+  const std::uint64_t allocs = alloc::heap_allocs() - allocs_before;
   RunStats stats;
   stats.arrivals =
       closed_gen != nullptr ? closed_gen->arrivals() : open_gen->arrivals();
+  stats.allocs_per_request =
+      static_cast<double>(allocs) /
+      static_cast<double>(std::max<std::uint64_t>(stats.arrivals, 1));
   stats.trace_hash = closed_gen != nullptr ? closed_gen->trace_hash()
                                            : open_gen->trace_hash();
   stats.finished = slo.total();
@@ -264,6 +276,7 @@ int main(int argc, char** argv) {
   double min_slo_pct = -1.0;
   double min_faulted_goodput_pct = -1.0;
   double min_closed_goodput_pct = -1.0;
+  double max_allocs = -1.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trim") == 0) {
       trim = true;
@@ -276,7 +289,9 @@ int main(int argc, char** argv) {
                std::sscanf(argv[i], "--min-faulted-goodput-pct=%lf",
                            &min_faulted_goodput_pct) == 1 ||
                std::sscanf(argv[i], "--min-closed-goodput-pct=%lf",
-                           &min_closed_goodput_pct) == 1) {
+                           &min_closed_goodput_pct) == 1 ||
+               std::sscanf(argv[i], "--max-allocs-per-request=%lf",
+                           &max_allocs) == 1) {
       // parsed
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
@@ -310,7 +325,7 @@ int main(int argc, char** argv) {
 
   Table table({"rung", "mode", "offered/s", "goodput/s", "goodput%", "slo%",
                "p50_ms", "p99_ms", "p999_ms", "shed_full", "shed_exp",
-               "brk_open"},
+               "brk_open", "allocs/req"},
               11);
   table.tee_to(report);
   table.print_header();
@@ -334,7 +349,8 @@ int main(int argc, char** argv) {
                        fmt(s.goodput_per_s, 0), fmt(s.goodput_pct(), 1),
                        fmt(s.slo_pct, 1), fmt(s.p50_ms, 1), fmt(s.p99_ms, 1),
                        fmt(s.p999_ms, 1), fmt_u(s.shed_full),
-                       fmt_u(s.shed_expired), fmt_u(s.breaker_open)});
+                       fmt_u(s.shed_expired), fmt_u(s.breaker_open),
+                       fmt(s.allocs_per_request, 4)});
       const std::string prefix = std::string(rung.name) + "_" + mode;
       report.metric(prefix + "_offered_per_s", s.offered_per_s);
       report.metric(prefix + "_goodput_per_s", s.goodput_per_s);
@@ -347,11 +363,17 @@ int main(int argc, char** argv) {
                     static_cast<double>(s.shed_full));
       report.metric(prefix + "_shed_expired",
                     static_cast<double>(s.shed_expired));
+      report.metric(prefix + "_allocs_per_request", s.allocs_per_request);
       // As hex text: a JSON double cannot hold all 64 bits.
       char hash_hex[17];
       std::snprintf(hash_hex, sizeof hash_hex, "%016llx",
                     static_cast<unsigned long long>(s.trace_hash));
       report.config(prefix + "_trace_hash", hash_hex);
+      if (max_allocs >= 0.0 && s.allocs_per_request > max_allocs) {
+        std::fprintf(stderr, "CEILING: %s %s %.4f > %.4f allocs/req\n",
+                     rung.name, mode, s.allocs_per_request, max_allocs);
+        floors_ok = false;
+      }
 
       if (rung.closed) {
         // Closed-loop floor: session users self-throttle, so healthy

@@ -4,6 +4,13 @@
 
 namespace riot::coord {
 
+namespace {
+constexpr sim::SimTime kHeartbeatInterval = sim::millis(50);
+constexpr sim::SimTime kElectionTimeoutMin = sim::millis(150);
+constexpr sim::SimTime kElectionTimeoutMax = sim::millis(300);
+constexpr std::size_t kMaxEntriesPerAppend = 64;
+}  // namespace
+
 std::string_view to_string(RaftRole r) {
   switch (r) {
     case RaftRole::kFollower:
@@ -16,11 +23,9 @@ std::string_view to_string(RaftRole r) {
   return "?";
 }
 
-RaftPeer::RaftPeer(net::Network& network, RaftStorage& storage,
-                   RaftConfig config)
+RaftPeer::RaftPeer(net::Network& network, RaftStorage& storage)
     : net::Node(network),
       storage_(storage),
-      cfg_(config),
       rng_(network.simulation().rng().split("raft" + to_string(id()))),
       elections_total_(network.metrics()
                            .counter_family("riot_raft_elections_total",
@@ -115,9 +120,9 @@ std::optional<std::uint64_t> RaftPeer::propose(Command command) {
 
 void RaftPeer::reset_election_timer() {
   const std::uint64_t generation = ++election_generation_;
-  const auto span = cfg_.election_timeout_max - cfg_.election_timeout_min;
+  const auto span = kElectionTimeoutMax - kElectionTimeoutMin;
   const sim::SimTime timeout =
-      cfg_.election_timeout_min +
+      kElectionTimeoutMin +
       sim::nanos(static_cast<std::int64_t>(
           rng_.uniform01() * static_cast<double>(span.count())));
   after(timeout, [this, generation] {
@@ -211,7 +216,7 @@ void RaftPeer::become_leader() {
     election_span_ = {};
   }
   heartbeat_timer_ =
-      every(cfg_.heartbeat_interval, [this] { broadcast_heartbeats(); });
+      every(kHeartbeatInterval, [this] { broadcast_heartbeats(); });
 }
 
 void RaftPeer::broadcast_heartbeats() {
@@ -237,7 +242,7 @@ void RaftPeer::replicate_to(net::NodeId peer) {
   ae.leader_commit = commit_index_;
   const std::uint64_t last = storage_.last_index();
   for (std::uint64_t i = next;
-       i <= last && ae.entries.size() < cfg_.max_entries_per_append; ++i) {
+       i <= last && ae.entries.size() < kMaxEntriesPerAppend; ++i) {
     ae.entries.push_back(storage_.entry(i));
   }
   send(peer, std::move(ae));

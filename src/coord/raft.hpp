@@ -73,20 +73,12 @@ struct RaftStorage {
   }
 };
 
-struct RaftConfig {
-  sim::SimTime heartbeat_interval = sim::millis(50);
-  sim::SimTime election_timeout_min = sim::millis(150);
-  sim::SimTime election_timeout_max = sim::millis(300);
-  std::size_t max_entries_per_append = 64;
-};
-
 class RaftPeer : public net::Node {
  public:
   /// `apply` is invoked exactly once per committed index per *incarnation*;
   /// after a crash-recovery the state machine is rebuilt by reapplying the
   /// log from index 1 (apply must therefore be deterministic).
-  RaftPeer(net::Network& network, RaftStorage& storage,
-           RaftConfig config = {});
+  RaftPeer(net::Network& network, RaftStorage& storage);
 
   /// Fix the peer group (including self). Call on every peer before start().
   void set_peers(std::vector<net::NodeId> peers);
@@ -121,10 +113,6 @@ class RaftPeer : public net::Node {
     return storage_.current_term;
   }
   [[nodiscard]] std::uint64_t commit_index() const { return commit_index_; }
-  /// Highest index handed to the apply callback this incarnation
-  /// (observation hook for invariant checkers; resets on crash).
-  [[nodiscard]] std::uint64_t last_applied() const { return last_applied_; }
-  [[nodiscard]] net::NodeId known_leader() const { return known_leader_; }
 
  protected:
   void on_start() override;
@@ -191,7 +179,6 @@ class RaftPeer : public net::Node {
   [[nodiscard]] std::size_t majority() const { return peers_.size() / 2 + 1; }
 
   RaftStorage& storage_;
-  RaftConfig cfg_;
   sim::Rng rng_;
   sim::Counter& elections_total_;
   sim::Counter& leader_changes_total_;

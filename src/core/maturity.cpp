@@ -4,6 +4,16 @@
 
 namespace riot::core {
 
+namespace {
+constexpr int kSensorsPerSite = 5;
+constexpr double kSensorRateHz = 2.0;
+constexpr data::DataCategory kSensorCategory = data::DataCategory::kPersonal;
+constexpr sim::SimTime kFreshnessBound = sim::seconds(3);
+constexpr sim::SimTime kActuationDeadline = sim::millis(250);
+constexpr sim::SimTime kRestartDelay = sim::seconds(5);
+constexpr sim::SimTime kMapePeriod = sim::millis(500);
+}  // namespace
+
 std::string_view to_string(MaturityLevel level) {
   switch (level) {
     case MaturityLevel::kSilo:
@@ -63,15 +73,14 @@ void MaturityScenario::install() {
 }
 
 void MaturityScenario::build_fleet() {
-  auto& registry = system_.registry();
-  cloud_domain_ = system_.add_domain(
+  const device::DomainId cloud_domain = system_.add_domain(
       device::AdminDomain{.name = "cloud-provider",
                           .jurisdiction = device::Jurisdiction::kNone,
                           .trust = device::TrustLevel::kPartner});
   {
     auto cloud = device::make_cloud("cloud");
     cloud.location = {50'000.0, 50'000.0};
-    cloud.domain = cloud_domain_;
+    cloud.domain = cloud_domain;
     cloud_ = system_.add_device(std::move(cloud));
   }
   sites_.reserve(static_cast<std::size_t>(cfg_.sites));
@@ -102,7 +111,7 @@ void MaturityScenario::build_fleet() {
       act.domain = site.domain;
       site.actuator_dev = system_.add_device(std::move(act));
     }
-    for (int s = 0; s < cfg_.sensors_per_site; ++s) {
+    for (int s = 0; s < kSensorsPerSite; ++s) {
       auto sensor = device::make_micro_sensor(
           "sensor" + std::to_string(i) + "." + std::to_string(s),
           "temperature");
@@ -112,20 +121,18 @@ void MaturityScenario::build_fleet() {
     }
     sites_.push_back(std::move(site));
   }
-  (void)registry;
 }
 
 namespace {
 
 /// Attach one SensorNode per sensor device, targeting `target`.
 void attach_sensors(IoTSystem& system, MaturityScenario::Site& site,
-                    const MaturityConfig& cfg, net::NodeId target,
-                    data::LineageGraph* lineage) {
+                    net::NodeId target, data::LineageGraph* lineage) {
   for (const auto dev : site.sensor_devs) {
     auto& sensor = system.attach<SensorNode>(
         dev, SensorNode::Config{.topic = site.topic,
-                                .category = cfg.category,
-                                .rate_hz = cfg.sensor_rate_hz,
+                                .category = kSensorCategory,
+                                .rate_hz = kSensorRateHz,
                                 .self_device = dev});
     sensor.set_target(target);
     sensor.set_lineage(lineage);
@@ -142,7 +149,7 @@ void MaturityScenario::build_silo() {
     auto& actuator = system_.attach<ActuatorNode>(
         site.actuator_dev,
         ActuatorNode::Config{.self_device = site.actuator_dev,
-                             .deadline = cfg_.actuation_deadline});
+                             .deadline = kActuationDeadline});
     site.actuator = &actuator;
     // Business logic bundled with the gateway "controller".
     auto& controller = system_.attach<ProcessorNode>(
@@ -153,7 +160,7 @@ void MaturityScenario::build_silo() {
                                             .active = true});
     controller.set_lineage(lineage_.get());
     site.primary = site.active = &controller;
-    attach_sensors(system_, site, cfg_, controller.id(), lineage_.get());
+    attach_sensors(system_, site, controller.id(), lineage_.get());
   }
 }
 
@@ -162,13 +169,11 @@ void MaturityScenario::build_silo() {
 void MaturityScenario::build_cloud() {
   auto& broker = system_.attach<data::BrokerNode>(cloud_, system_.registry());
   broker.set_policy(policy_.get(), /*enforce=*/false);  // naive funnel
-  cloud_broker_ = &broker;
 
-  auto& monitor = system_.attach<membership::HeartbeatMonitor>(
-      cloud_, cfg_.heartbeat);
+  auto& monitor = system_.attach<membership::HeartbeatMonitor>(cloud_);
   cloud_monitor_ = &monitor;
 
-  auto& mape = system_.attach<adapt::MapeLoop>(cloud_, cfg_.mape_period);
+  auto& mape = system_.attach<adapt::MapeLoop>(cloud_, kMapePeriod);
   cloud_mape_ = &mape;
   auto planner = std::make_unique<adapt::RuleBasedPlanner>();
 
@@ -176,7 +181,7 @@ void MaturityScenario::build_cloud() {
     auto& actuator = system_.attach<ActuatorNode>(
         site.actuator_dev,
         ActuatorNode::Config{.self_device = site.actuator_dev,
-                             .deadline = cfg_.actuation_deadline});
+                             .deadline = kActuationDeadline});
     site.actuator = &actuator;
     auto& processor = system_.attach<ProcessorNode>(
         cloud_, ProcessorNode::Config{.name = "proc-" + site.topic,
@@ -187,11 +192,11 @@ void MaturityScenario::build_cloud() {
     processor.use_broker(broker.id());
     processor.set_lineage(lineage_.get());
     site.primary = site.active = &processor;
-    attach_sensors(system_, site, cfg_, broker.id(), lineage_.get());
+    attach_sensors(system_, site, broker.id(), lineage_.get());
 
     // Heartbeats: edges/gateways report to the cloud monitor.
-    auto& hb = system_.attach<membership::HeartbeatEmitter>(
-        site.gateway, monitor.id(), cfg_.heartbeat);
+    auto& hb = system_.attach<membership::HeartbeatEmitter>(site.gateway,
+                                                            monitor.id());
     monitor.watch(hb.id());
 
     // Cloud MAPE: detect stale processing, restart the component.
@@ -202,7 +207,7 @@ void MaturityScenario::build_cloud() {
                           -> std::optional<adapt::Violation> {
       const auto age = site_ptr->primary->data_age();
       const bool stale = !site_ptr->primary->alive() || !age.has_value() ||
-                         *age > cfg_.freshness_bound;
+                         *age > kFreshnessBound;
       if (stale) {
         return adapt::Violation{requirement, 1.0, "stale or dead processor"};
       }
@@ -226,7 +231,7 @@ void MaturityScenario::build_cloud() {
     for (auto& site : sites_) {
       if (action.component == "proc-" + site.topic) {
         Site* site_ptr = &site;
-        cloud_mape_->after(cfg_.restart_delay, [site_ptr] {
+        cloud_mape_->after(kRestartDelay, [site_ptr] {
           site_ptr->primary->recover();
         });
       }
@@ -240,10 +245,9 @@ void MaturityScenario::build_cloud() {
 void MaturityScenario::build_edge() {
   // Cloud supervisor: watches edges, restarts them remotely (hierarchical
   // automation — edge manages the site, cloud manages the edges).
-  auto& monitor = system_.attach<membership::HeartbeatMonitor>(
-      cloud_, cfg_.heartbeat);
+  auto& monitor = system_.attach<membership::HeartbeatMonitor>(cloud_);
   cloud_monitor_ = &monitor;
-  auto& cloud_mape = system_.attach<adapt::MapeLoop>(cloud_, cfg_.mape_period);
+  auto& cloud_mape = system_.attach<adapt::MapeLoop>(cloud_, kMapePeriod);
   cloud_mape_ = &cloud_mape;
   auto supervisor_planner = std::make_unique<adapt::RuleBasedPlanner>();
 
@@ -251,7 +255,7 @@ void MaturityScenario::build_edge() {
     auto& actuator = system_.attach<ActuatorNode>(
         site.actuator_dev,
         ActuatorNode::Config{.self_device = site.actuator_dev,
-                             .deadline = cfg_.actuation_deadline});
+                             .deadline = kActuationDeadline});
     site.actuator = &actuator;
 
     auto& broker = system_.attach<data::BrokerNode>(site.edge,
@@ -268,10 +272,10 @@ void MaturityScenario::build_edge() {
     processor.use_broker(broker.id());
     processor.set_lineage(lineage_.get());
     site.primary = site.active = &processor;
-    attach_sensors(system_, site, cfg_, broker.id(), lineage_.get());
+    attach_sensors(system_, site, broker.id(), lineage_.get());
 
     // Edge MAPE: analysis and planning at the edge (Figure 5 placement).
-    auto& mape = system_.attach<adapt::MapeLoop>(site.edge, cfg_.mape_period);
+    auto& mape = system_.attach<adapt::MapeLoop>(site.edge, kMapePeriod);
     site.edge_mape = &mape;
     const std::string requirement = "processing@" + site.topic;
     Site* site_ptr = &site;
@@ -280,7 +284,7 @@ void MaturityScenario::build_edge() {
                           -> std::optional<adapt::Violation> {
       const auto age = site_ptr->primary->data_age();
       if (!site_ptr->primary->alive() || !age.has_value() ||
-          *age > cfg_.freshness_bound) {
+          *age > kFreshnessBound) {
         return adapt::Violation{requirement, 1.0, "stale processing"};
       }
       return std::nullopt;
@@ -293,7 +297,7 @@ void MaturityScenario::build_edge() {
         [this, site_ptr](const adapt::KnowledgeBase&) {
           model::ltl::State state;
           const auto age = site_ptr->primary->data_age();
-          if (age.has_value() && *age <= cfg_.freshness_bound) {
+          if (age.has_value() && *age <= kFreshnessBound) {
             state.insert("fresh");
           }
           return state;
@@ -306,15 +310,15 @@ void MaturityScenario::build_edge() {
                       .component = "proc-" + site.topic});
     mape.set_local_handler([this, site_ptr](const adapt::Action& action) {
       if (action.kind != adapt::ActionKind::kRestartComponent) return;
-      site_ptr->edge_mape->after(cfg_.restart_delay, [site_ptr] {
+      site_ptr->edge_mape->after(kRestartDelay, [site_ptr] {
         site_ptr->primary->recover();
       });
     });
     mape.set_planner(std::move(edge_planner));
 
     // Edge heartbeats to the cloud supervisor.
-    auto& hb = system_.attach<membership::HeartbeatEmitter>(
-        site.edge, monitor.id(), cfg_.heartbeat);
+    auto& hb = system_.attach<membership::HeartbeatEmitter>(site.edge,
+                                                            monitor.id());
     site.edge_heartbeat = &hb;
     monitor.watch(hb.id());
 
@@ -337,7 +341,7 @@ void MaturityScenario::build_edge() {
     for (auto& site : sites_) {
       if (action.component == "edge-" + site.topic) {
         device::DeviceId edge_dev = site.edge;
-        cloud_mape_->after(cfg_.restart_delay, [this, edge_dev] {
+        cloud_mape_->after(kRestartDelay, [this, edge_dev] {
           system_.recover_device(edge_dev);
         });
       }
@@ -354,13 +358,12 @@ void MaturityScenario::build_resilient() {
   auto& cloud_relay = system_.attach<data::EpidemicPubSub>(
       cloud_, system_.registry(), cloud_, 8);
   cloud_relay.set_policy(policy_.get(), /*enforce=*/true);
-  cloud_relay_ = &cloud_relay;
 
   for (auto& site : sites_) {
     auto& actuator = system_.attach<ActuatorNode>(
         site.actuator_dev,
         ActuatorNode::Config{.self_device = site.actuator_dev,
-                             .deadline = cfg_.actuation_deadline});
+                             .deadline = kActuationDeadline});
     site.actuator = &actuator;
 
     auto& edge_relay = system_.attach<data::EpidemicPubSub>(
@@ -403,16 +406,14 @@ void MaturityScenario::build_resilient() {
                          standby.handle_item(item);
                        });
 
-    attach_sensors(system_, site, cfg_, edge_relay.id(), lineage_.get());
+    attach_sensors(system_, site, edge_relay.id(), lineage_.get());
     for (auto* sensor : site.sensors) {
       sensor->set_secondary_target(gw_relay.id());
     }
 
     // SWIM pair: edge and gateway watch each other, no monitor involved.
-    auto& edge_swim = system_.attach<membership::SwimMember>(site.edge,
-                                                             cfg_.swim);
-    auto& gw_swim = system_.attach<membership::SwimMember>(site.gateway,
-                                                           cfg_.swim);
+    auto& edge_swim = system_.attach<membership::SwimMember>(site.edge);
+    auto& gw_swim = system_.attach<membership::SwimMember>(site.gateway);
     edge_swim.add_peer(gw_swim.id());
     gw_swim.add_peer(edge_swim.id());
     site.edge_swim = &edge_swim;
@@ -422,7 +423,7 @@ void MaturityScenario::build_resilient() {
 
     // Edge MAPE with local self-healing + formal monitors (freshness and
     // actuation), as in ML3 but with actions that never leave the site.
-    auto& mape = system_.attach<adapt::MapeLoop>(site.edge, cfg_.mape_period);
+    auto& mape = system_.attach<adapt::MapeLoop>(site.edge, kMapePeriod);
     site.edge_mape = &mape;
     Site* site_ptr = &site;
     const std::string requirement = "processing@" + site.topic;
@@ -431,7 +432,7 @@ void MaturityScenario::build_resilient() {
                           -> std::optional<adapt::Violation> {
       const auto age = site_ptr->active->data_age();
       if (!site_ptr->active->alive() || !age.has_value() ||
-          *age > cfg_.freshness_bound) {
+          *age > kFreshnessBound) {
         return adapt::Violation{requirement, 1.0, "stale processing"};
       }
       return std::nullopt;
@@ -442,7 +443,7 @@ void MaturityScenario::build_resilient() {
         [this, site_ptr](const adapt::KnowledgeBase&) {
           model::ltl::State state;
           const auto age = site_ptr->active->data_age();
-          if (age.has_value() && *age <= cfg_.freshness_bound) {
+          if (age.has_value() && *age <= kFreshnessBound) {
             state.insert("fresh");
           }
           return state;
@@ -465,7 +466,7 @@ void MaturityScenario::build_resilient() {
                       .component = "proc-" + site.topic});
     mape.set_local_handler([this, site_ptr](const adapt::Action& action) {
       if (action.kind != adapt::ActionKind::kRestartComponent) return;
-      site_ptr->edge_mape->after(cfg_.restart_delay, [site_ptr] {
+      site_ptr->edge_mape->after(kRestartDelay, [site_ptr] {
         if (site_ptr->primary == site_ptr->active) {
           site_ptr->primary->recover();
         }
@@ -478,7 +479,7 @@ void MaturityScenario::build_resilient() {
 void MaturityScenario::wire_site_failover(Site& site) {
   // Gateway MAPE: SWIM-driven failover + watchdog restart of the edge.
   auto& mape = system_.attach<adapt::MapeLoop>(site.gateway,
-                                               cfg_.mape_period);
+                                               kMapePeriod);
   site.gateway_mape = &mape;
   Site* site_ptr = &site;
   const std::string requirement = "edge-alive@" + site.topic;
@@ -511,7 +512,7 @@ void MaturityScenario::wire_site_failover(Site& site) {
       do_failover(*site_ptr);
     } else if (action.kind == adapt::ActionKind::kRestartComponent) {
       device::DeviceId edge_dev = site_ptr->edge;
-      site_ptr->gateway_mape->after(cfg_.restart_delay, [this, edge_dev] {
+      site_ptr->gateway_mape->after(kRestartDelay, [this, edge_dev] {
         system_.recover_device(edge_dev);
       });
     }
@@ -545,10 +546,10 @@ void MaturityScenario::add_probes() {
           if (system_.simulation().now() < warmup) return true;
           if (!site_ptr->active->alive()) return false;
           const auto age = site_ptr->active->data_age();
-          return age.has_value() && *age <= cfg_.freshness_bound;
+          return age.has_value() && *age <= kFreshnessBound;
         }});
     const sim::SimTime actuation_window =
-        std::max(sim::seconds_f(3.0 / cfg_.sensor_rate_hz), sim::seconds(2));
+        std::max(sim::seconds_f(3.0 / kSensorRateHz), sim::seconds(2));
     evaluator.add_probe(RequirementProbe{
         .name = "actuation@" + site.topic,
         .weight = 1.0,
@@ -570,7 +571,7 @@ void MaturityScenario::add_probes() {
     sim::SimTime last_change = sim::kSimTimeZero;
   };
   auto watch = std::make_shared<LeakWatch>();
-  const sim::SimTime window = cfg_.freshness_bound;
+  const sim::SimTime window = kFreshnessBound;
   evaluator.add_probe(RequirementProbe{
       .name = "privacy",
       .weight = 1.0,

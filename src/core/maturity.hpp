@@ -51,18 +51,10 @@ enum class MaturityLevel : int {
 
 std::string_view to_string(MaturityLevel level);
 
+/// What callers tune; the per-site workload and timing are in maturity.cpp.
 struct MaturityConfig {
   int sites = 2;
-  int sensors_per_site = 5;
-  double sensor_rate_hz = 2.0;
-  data::DataCategory category = data::DataCategory::kPersonal;
-  sim::SimTime freshness_bound = sim::seconds(3);
-  sim::SimTime actuation_deadline = sim::millis(250);
-  sim::SimTime manual_repair_delay = sim::seconds(120);
-  sim::SimTime restart_delay = sim::seconds(5);
-  sim::SimTime mape_period = sim::millis(500);
-  membership::SwimConfig swim;            // ML4 failure detection
-  membership::HeartbeatConfig heartbeat;  // ML2/ML3 detection
+  sim::SimTime manual_repair_delay = sim::seconds(120);  // ML1 technician
 };
 
 class MaturityScenario {
@@ -133,11 +125,7 @@ class MaturityScenario {
 
   [[nodiscard]] const std::vector<Site>& sites() const { return sites_; }
   [[nodiscard]] std::vector<Site>& sites() { return sites_; }
-  [[nodiscard]] device::DeviceId cloud_device() const { return cloud_; }
   [[nodiscard]] data::PolicyEngine* policy() { return policy_.get(); }
-  [[nodiscard]] data::LineageGraph& lineage() { return *lineage_; }
-  [[nodiscard]] MaturityLevel level() const { return level_; }
-  [[nodiscard]] const MaturityConfig& config() const { return cfg_; }
 
  private:
   void build_fleet();
@@ -154,9 +142,6 @@ class MaturityScenario {
   MaturityConfig cfg_;
   std::vector<Site> sites_;
   device::DeviceId cloud_;
-  device::DomainId cloud_domain_;
-  data::BrokerNode* cloud_broker_ = nullptr;        // ML2
-  data::EpidemicPubSub* cloud_relay_ = nullptr;     // ML4 archiver plane
   membership::HeartbeatMonitor* cloud_monitor_ = nullptr;  // ML2/ML3
   adapt::MapeLoop* cloud_mape_ = nullptr;           // ML2/ML3
   std::uint64_t archived_ = 0;                      // items at cloud archiver

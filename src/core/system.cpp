@@ -2,13 +2,18 @@
 
 namespace riot::core {
 
+namespace {
+constexpr double kLanRadiusM = 300.0;  // same-site distance threshold
+constexpr sim::SimTime kResilienceSamplePeriod = sim::millis(250);
+}  // namespace
+
 IoTSystem::IoTSystem(SystemConfig config)
     : cfg_(config),
       world_(config.seed),
       faults_(world_.sim, world_.trace),
       energy_(world_.sim, registry_),
       mobility_(world_.sim, registry_),
-      resilience_(world_.sim, config.resilience_sample_period) {
+      resilience_(world_.sim, kResilienceSamplePeriod) {
   install_link_model();
   // Every fault injection runs under a fresh root span, so its full effect
   // tree (node_down incidents, SWIM suspicion, elections, re-placements)
@@ -44,8 +49,7 @@ void IoTSystem::install_link_model() {
     if (a_cloud && b_cloud) return cfg_.latency.lan;  // same datacenter
     if (a_cloud || b_cloud) return cfg_.latency.wan;
     const double distance = a.location.distance_to(b.location);
-    return distance <= cfg_.lan_radius_m ? cfg_.latency.lan
-                                         : cfg_.latency.man;
+    return distance <= kLanRadiusM ? cfg_.latency.lan : cfg_.latency.man;
   });
 }
 

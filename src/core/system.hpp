@@ -26,8 +26,6 @@ namespace riot::core {
 struct SystemConfig {
   std::uint64_t seed = 1;
   net::LatencyClasses latency;
-  double lan_radius_m = 300.0;  // same-site distance threshold
-  sim::SimTime resilience_sample_period = sim::millis(250);
 };
 
 class IoTSystem {

@@ -47,9 +47,12 @@ bool stores_converged(const CrdtStore& a, const CrdtStore& b) {
   return true;
 }
 
-CrdtStore::CrdtStore(net::Network& network, CrdtStoreConfig config)
+namespace {
+constexpr sim::SimTime kSyncInterval = sim::millis(500);
+}  // namespace
+
+CrdtStore::CrdtStore(net::Network& network)
     : net::Node(network),
-      cfg_(config),
       rng_(network.simulation().rng().split("crdt" + to_string(id()))) {
   set_component("crdt");
   on<SyncState>([this](net::NodeId from, const SyncState& state) {
@@ -96,7 +99,7 @@ MvRegister<std::string>& CrdtStore::mvreg(const std::string& key) {
 }
 
 void CrdtStore::on_start() {
-  every(cfg_.sync_interval, [this] { round(); });
+  every(kSyncInterval, [this] { round(); });
 }
 
 void CrdtStore::on_recover() {
@@ -104,23 +107,18 @@ void CrdtStore::on_recover() {
   // model a diskless restart: state re-hydrates from peers' next syncs,
   // and writes in this life go under a fresh replica_id().
   objects_.clear();
-  every(cfg_.sync_interval, [this] { round(); });
+  every(kSyncInterval, [this] { round(); });
 }
 
 void CrdtStore::sync_now() { round(); }
 
 void CrdtStore::round() {
   if (replicas_.empty()) return;
-  const auto picks = rng_.sample_indices(
-      replicas_.size(), static_cast<std::size_t>(cfg_.fanout));
-  if (picks.empty()) return;
-  // One copy of the store per pick but the last, which takes the original.
+  // One replica per round.
+  const net::NodeId peer = replicas_[rng_.below(replicas_.size())];
   SyncState state;
   state.objects.assign(objects_.begin(), objects_.end());
-  for (std::size_t k = 0; k + 1 < picks.size(); ++k) {
-    send(replicas_[picks[k]], state);
-  }
-  send(replicas_[picks.back()], std::move(state));
+  send(peer, std::move(state));
 }
 
 void CrdtStore::absorb(const SyncState& state) {

@@ -42,14 +42,9 @@ class CrdtStore;
 /// after a partition heals.
 bool stores_converged(const CrdtStore& a, const CrdtStore& b);
 
-struct CrdtStoreConfig {
-  sim::SimTime sync_interval = sim::millis(500);
-  int fanout = 1;  // replicas contacted per sync round
-};
-
 class CrdtStore : public net::Node {
  public:
-  CrdtStore(net::Network& network, CrdtStoreConfig config = {});
+  explicit CrdtStore(net::Network& network);
 
   void set_replicas(std::vector<net::NodeId> replicas);  // peers, not self
 
@@ -72,7 +67,6 @@ class CrdtStore : public net::Node {
   [[nodiscard]] bool has(const std::string& key) const {
     return objects_.contains(key);
   }
-  [[nodiscard]] std::size_t object_count() const { return objects_.size(); }
 
   /// Read-only view of every object (observation hook for convergence
   /// checkers; no behaviour change).
@@ -110,7 +104,6 @@ class CrdtStore : public net::Node {
   void round();
   void absorb(const SyncState& state);
 
-  CrdtStoreConfig cfg_;
   sim::Rng rng_;
   std::vector<net::NodeId> replicas_;
   std::unordered_map<std::string, CrdtObject> objects_;

@@ -4,9 +4,13 @@
 
 namespace riot::membership {
 
-HeartbeatMonitor::HeartbeatMonitor(net::Network& network,
-                                   HeartbeatConfig config)
-    : net::Node(network), cfg_(config) {
+namespace {
+// Silence before a member is declared dead.
+constexpr sim::SimTime kHeartbeatTimeout = sim::seconds(3);
+}  // namespace
+
+HeartbeatMonitor::HeartbeatMonitor(net::Network& network)
+    : net::Node(network) {
   set_component("heartbeat");
   on<Heartbeat>([this](net::NodeId from, const Heartbeat&) {
     auto [it, inserted] = watched_.try_emplace(from, Watched{});
@@ -42,7 +46,7 @@ std::vector<net::NodeId> HeartbeatMonitor::alive_members() const {
 }
 
 void HeartbeatMonitor::on_start() {
-  every(cfg_.interval, [this] { sweep(); });
+  every(kHeartbeatInterval, [this] { sweep(); });
 }
 
 void HeartbeatMonitor::on_recover() {
@@ -52,12 +56,12 @@ void HeartbeatMonitor::on_recover() {
   for (auto& [member, w] : watched_) {
     w.last_heartbeat = now();
   }
-  every(cfg_.interval, [this] { sweep(); });
+  every(kHeartbeatInterval, [this] { sweep(); });
 }
 
 void HeartbeatMonitor::sweep() {
   for (auto& [member, w] : watched_) {
-    if (w.alive && now() - w.last_heartbeat >= cfg_.timeout) {
+    if (w.alive && now() - w.last_heartbeat >= kHeartbeatTimeout) {
       w.alive = false;
       const obs::SpanContext span = tracer().start_caused_by(
           member.value, "heartbeat", "dead", id().value);

@@ -17,10 +17,8 @@
 
 namespace riot::membership {
 
-struct HeartbeatConfig {
-  sim::SimTime interval = sim::seconds(1);
-  sim::SimTime timeout = sim::seconds(3);  // silence before declared dead
-};
+/// Emitters send, and the monitor sweeps, once per interval.
+inline constexpr sim::SimTime kHeartbeatInterval = sim::seconds(1);
 
 struct Heartbeat {
   std::uint64_t seq;
@@ -29,7 +27,7 @@ struct Heartbeat {
 /// Runs on the monitor (cloud) node.
 class HeartbeatMonitor : public net::Node {
  public:
-  HeartbeatMonitor(net::Network& network, HeartbeatConfig config = {});
+  explicit HeartbeatMonitor(net::Network& network);
 
   void watch(net::NodeId member);
 
@@ -55,7 +53,6 @@ class HeartbeatMonitor : public net::Node {
 
   void sweep();
 
-  HeartbeatConfig cfg_;
   std::unordered_map<net::NodeId, Watched> watched_;
   std::function<void(net::NodeId)> dead_cb_;
   std::function<void(net::NodeId)> alive_cb_;
@@ -64,9 +61,8 @@ class HeartbeatMonitor : public net::Node {
 /// Runs on each member; emits heartbeats toward the monitor.
 class HeartbeatEmitter : public net::Node {
  public:
-  HeartbeatEmitter(net::Network& network, net::NodeId monitor,
-                   HeartbeatConfig config = {})
-      : net::Node(network), cfg_(config), monitor_(monitor) {}
+  HeartbeatEmitter(net::Network& network, net::NodeId monitor)
+      : net::Node(network), monitor_(monitor) {}
 
  protected:
   void on_start() override { arm(); }
@@ -74,10 +70,9 @@ class HeartbeatEmitter : public net::Node {
 
  private:
   void arm() {
-    every(cfg_.interval, [this] { send(monitor_, Heartbeat{seq_++}); });
+    every(kHeartbeatInterval, [this] { send(monitor_, Heartbeat{seq_++}); });
   }
 
-  HeartbeatConfig cfg_;
   net::NodeId monitor_;
   std::uint64_t seq_ = 0;
 };

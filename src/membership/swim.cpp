@@ -18,6 +18,26 @@ std::string_view to_string(MemberState s) {
 }
 
 namespace {
+
+constexpr std::size_t kIndirectProbes = 3;  // k helpers on timeout
+constexpr int kRetransmitFactor = 3;  // each update rides ~factor*log2(n) times
+// How often to re-probe members we believe dead. Without this a symmetric
+// partition that outlives the suspect timeout is permanent: both sides stop
+// pinging each other, so the dead verdict never reaches its subject and can
+// never be refuted.
+constexpr sim::SimTime kDeadProbeInterval = sim::seconds(3);
+// Dead members re-probed per interval (floor). One is enough for an
+// isolated failure, but a mass false-death event (a partition outliving the
+// suspect timeout) leaves every observer with a *set* of stale verdicts,
+// and draining them one victim per interval outlasts any realistic
+// quiescence window at cluster scale.
+constexpr std::size_t kDeadProbesPerInterval = 3;
+// The batch grows past the floor so the whole dead set is covered within
+// this many intervals: per-round count = ceil(|dead| / coverage_rounds).
+// Cost is self-limiting — a falsely dead member acks its probe, which
+// clears the verdict and shrinks the set.
+constexpr std::size_t kDeadProbeCoverageRounds = 5;
+
 /// SWIM precedence: does `incoming` override `current` knowledge?
 bool overrides(const MemberUpdate& incoming, MemberState cur_state,
                std::uint32_t cur_inc) {
@@ -148,9 +168,7 @@ std::vector<net::NodeId> SwimMember::alive_peers() const {
 
 void SwimMember::on_start() {
   every(cfg_.period, [this] { protocol_period(); });
-  if (cfg_.dead_probe_interval > sim::kSimTimeZero) {
-    every(cfg_.dead_probe_interval, [this] { probe_dead(); });
-  }
+  every(kDeadProbeInterval, [this] { probe_dead(); });
 }
 
 void SwimMember::on_crash() {
@@ -168,9 +186,7 @@ void SwimMember::on_recover() {
   suspects_ = 0;
   enqueue_update({id(), MemberState::kAlive, incarnation_});
   every(cfg_.period, [this] { protocol_period(); });
-  if (cfg_.dead_probe_interval > sim::kSimTimeZero) {
-    every(cfg_.dead_probe_interval, [this] { probe_dead(); });
-  }
+  every(kDeadProbeInterval, [this] { probe_dead(); });
 }
 
 void SwimMember::protocol_period() {
@@ -194,15 +210,10 @@ void SwimMember::probe_dead() {
   // round-robin, so a genuinely dead member (which never acks and so never
   // leaves the set) cannot shadow a falsely dead one indefinitely the way
   // an independent random draw can.
-  const std::size_t floor_count =
-      static_cast<std::size_t>(std::max(1, cfg_.dead_probes_per_interval));
   const std::size_t per_round =
-      (dead.size() + static_cast<std::size_t>(
-                         std::max(1, cfg_.dead_probe_coverage_rounds)) -
-       1) /
-      static_cast<std::size_t>(std::max(1, cfg_.dead_probe_coverage_rounds));
+      (dead.size() + kDeadProbeCoverageRounds - 1) / kDeadProbeCoverageRounds;
   const std::size_t count =
-      std::min(dead.size(), std::max(floor_count, per_round));
+      std::min(dead.size(), std::max(kDeadProbesPerInterval, per_round));
   for (std::size_t i = 0; i < count; ++i) {
     const net::NodeId target = dead[(dead_probe_cursor_ + i) % dead.size()];
     // Carry the verdict explicitly: the outbox has usually drained the
@@ -228,8 +239,7 @@ void SwimMember::probe(net::NodeId target) {
   const sim::EventId timeout = after(cfg_.ping_timeout, [this, target] {
     // Direct probe timed out: fan out k indirect probes; if nothing acks
     // by the end of the period, suspect.
-    auto helpers = shuffled_alive(static_cast<std::size_t>(cfg_.indirect_probes),
-                                  target);
+    auto helpers = shuffled_alive(kIndirectProbes, target);
     for (const net::NodeId helper : helpers) {
       send(helper, PingReq{next_seq_++, target, take_piggyback()});
     }
@@ -423,7 +433,7 @@ void SwimMember::enqueue_update(const MemberUpdate& update) {
   // dissemination bound from the SWIM paper.
   const double n = static_cast<double>(std::max<std::size_t>(members_.size(), 2));
   const int budget = std::max(
-      1, static_cast<int>(std::lround(cfg_.retransmit_factor * std::log2(n))));
+      1, static_cast<int>(std::lround(kRetransmitFactor * std::log2(n))));
   outbox_.push(update, budget);
 }
 

@@ -41,29 +41,12 @@ struct MemberUpdate {
   std::uint32_t incarnation = 0;
 };
 
+/// What callers tune; the protocol's fixed constants are in swim.cpp.
 struct SwimConfig {
   sim::SimTime period = sim::seconds(1);          // protocol period T
   sim::SimTime ping_timeout = sim::millis(300);   // direct ack wait
-  int indirect_probes = 3;                        // k helpers on timeout
   sim::SimTime suspect_timeout = sim::seconds(3); // suspicion -> dead
   int max_piggyback = 6;                          // updates per message
-  int retransmit_factor = 3;  // each update rides ~factor*log2(n) times
-  // How often to re-probe members we believe dead. Without this a
-  // symmetric partition that outlives the suspect timeout is permanent:
-  // both sides stop pinging each other, so the dead verdict never reaches
-  // its subject and can never be refuted. Zero disables re-probing.
-  sim::SimTime dead_probe_interval = sim::seconds(3);
-  // Dead members re-probed per interval (floor). One is enough for an
-  // isolated failure, but a mass false-death event (a partition outliving
-  // the suspect timeout) leaves every observer with a *set* of stale
-  // verdicts, and draining them one victim per interval outlasts any
-  // realistic quiescence window at cluster scale.
-  int dead_probes_per_interval = 3;
-  // The batch grows past the floor so the whole dead set is covered within
-  // this many intervals: per-round count = ceil(|dead| / coverage_rounds).
-  // Cost is self-limiting — a falsely dead member acks its probe, which
-  // clears the verdict and shrinks the set.
-  int dead_probe_coverage_rounds = 5;
 };
 
 /// Membership updates waiting to ride on outgoing messages, each with a
@@ -141,7 +124,6 @@ class SwimMember : public net::Node {
   /// View accessors.
   [[nodiscard]] MemberState state_of(net::NodeId peer) const;
   [[nodiscard]] std::vector<net::NodeId> alive_peers() const;
-  [[nodiscard]] std::size_t view_size() const { return members_.size(); }
   [[nodiscard]] std::uint32_t incarnation() const { return incarnation_; }
 
   /// Callbacks, invoked on local view transitions.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -367,7 +369,7 @@ class JsonReader {
     return true;
   }
 
-  /// The raw token of a number; interpret with strtoull/strtod as needed.
+  /// The raw token of a number; parse_count and parse_double interpret it.
   bool parse_number_token(std::string& out) {
     skip_ws();
     const std::size_t start = pos_;
@@ -418,16 +420,28 @@ class JsonReader {
     return parse_number_token(sink);
   }
 
-  bool parse_u64(std::uint64_t& out) {
+  /// An integer field in [0, max], written as plain digits: a sign, a
+  /// fraction, an exponent or a larger value is an error naming `field`,
+  /// never a silently truncated or wrapped number.
+  bool parse_count(std::string_view field, std::uint64_t& out,
+                   std::uint64_t max = UINT64_MAX) {
+    skip_ws();
+    const std::size_t start = pos_;
     std::string tok;
     if (!parse_number_token(tok)) return false;
-    out = std::strtoull(tok.c_str(), nullptr, 10);
+    const char* const end = tok.data() + tok.size();
+    const auto [stop, ec] = std::from_chars(tok.data(), end, out);
+    if (ec != std::errc{} || stop != end || out > max) {
+      pos_ = start;
+      return fail(std::string(field) + ": expected an integer in [0, " +
+                  std::to_string(max) + "], got " + tok);
+    }
     return true;
   }
-  bool parse_i64(std::int64_t& out) {
-    std::string tok;
-    if (!parse_number_token(tok)) return false;
-    out = std::strtoll(tok.c_str(), nullptr, 10);
+  bool parse_nanos(std::string_view field, SimTime& out) {
+    std::uint64_t v = 0;
+    if (!parse_count(field, v, INT64_MAX)) return false;
+    out = nanos(static_cast<std::int64_t>(v));
     return true;
   }
   bool parse_double(double& out) {
@@ -456,19 +470,15 @@ bool parse_action(JsonReader& r, ChaosAction& action) {
       if (!parsed) return r.fail("unknown action kind '" + kind + "'");
       action.kind = *parsed;
     } else if (key == "at_ns") {
-      std::int64_t v = 0;
-      if (!r.parse_i64(v)) return false;
-      action.at = nanos(v);
+      if (!r.parse_nanos("at_ns", action.at)) return false;
     } else if (key == "duration_ns") {
-      std::int64_t v = 0;
-      if (!r.parse_i64(v)) return false;
-      action.duration = nanos(v);
+      if (!r.parse_nanos("duration_ns", action.duration)) return false;
     } else if (key == "targets") {
       if (!r.expect('[')) return false;
       if (!r.consume_if(']')) {
         do {
           std::uint64_t v = 0;
-          if (!r.parse_u64(v)) return false;
+          if (!r.parse_count("targets", v, UINT32_MAX)) return false;
           action.targets.push_back(static_cast<std::uint32_t>(v));
         } while (r.consume_if(','));
         if (!r.expect(']')) return false;
@@ -499,15 +509,13 @@ std::optional<ChaosSchedule> schedule_from_json(std::string_view json,
       std::string key;
       if (!r.parse_string(key) || !r.expect(':')) return bail();
       if (key == "seed") {
-        if (!r.parse_u64(schedule.seed)) return bail();
+        if (!r.parse_count("seed", schedule.seed)) return bail();
       } else if (key == "node_count") {
         std::uint64_t v = 0;
-        if (!r.parse_u64(v)) return bail();
+        if (!r.parse_count("node_count", v, SIZE_MAX)) return bail();
         schedule.node_count = static_cast<std::size_t>(v);
       } else if (key == "horizon_ns") {
-        std::int64_t v = 0;
-        if (!r.parse_i64(v)) return bail();
-        schedule.horizon = nanos(v);
+        if (!r.parse_nanos("horizon_ns", schedule.horizon)) return bail();
       } else if (key == "actions") {
         saw_actions = true;
         if (!r.expect('[')) return bail();

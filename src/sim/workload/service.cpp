@@ -10,6 +10,23 @@ namespace {
 using Result = net::RpcResult<ServeResponse>;
 using Completion = net::RpcEndpoint::Completion;
 
+// Inter-tier call policy; per-call deadlines are overwritten with the
+// request's remaining budget. Each hop's per-attempt timeout must cover the
+// whole *downstream subtree* (a gateway->edge call may ride the WAN to the
+// cloud and back before the edge can answer), not just the next link — the
+// remaining-budget clip tightens it per call anyway.
+constexpr net::RpcOptions kGatewayToEdge{.timeout = millis(300),
+                                         .max_attempts = 2,
+                                         .backoff_base = millis(10),
+                                         .backoff_cap = millis(50)};
+constexpr net::RpcOptions kEdgeToCloud{.timeout = millis(200),
+                                       .max_attempts = 2,
+                                       .backoff_base = millis(10),
+                                       .backoff_cap = millis(50)};
+// Link qualities: client<->gateway rides lan, gateway<->edge man,
+// edge<->cloud wan.
+constexpr net::LatencyClasses kLinks{};
+
 // splitmix64 finalizer: deterministic per-request uniform for the
 // local-hit decision (hashing beats an RNG draw here — the decision must
 // not perturb any seeded stream, and must be stable per request across
@@ -145,8 +162,8 @@ void TierServer::serve_one(const ServeRequest& request, SimTime deadline,
       std::move(done));
 }
 
-ServingFabric::ServingFabric(net::Network& network, FabricConfig config)
-    : net_(network), config_(config) {
+ServingFabric::ServingFabric(net::Network& network, const FabricConfig& config)
+    : net_(network) {
   auto build = [&](Tier tier, const TierSpec& spec, net::LinkClass cls,
                    std::vector<std::unique_ptr<TierServer>>& out) {
     out.reserve(spec.nodes);
@@ -157,9 +174,9 @@ ServingFabric::ServingFabric(net::Network& network, FabricConfig config)
       network.set_endpoint_class(out.back()->id(), cls);
     }
   };
-  build(Tier::kCloud, config_.cloud, kCloudClass, clouds_);
-  build(Tier::kEdge, config_.edge, kEdgeClass, edges_);
-  build(Tier::kGateway, config_.gateway, kGatewayClass, gateways_);
+  build(Tier::kCloud, config.cloud, kCloudClass, clouds_);
+  build(Tier::kEdge, config.edge, kEdgeClass, edges_);
+  build(Tier::kGateway, config.gateway, kGatewayClass, gateways_);
 
   auto ids = [](const std::vector<std::unique_ptr<TierServer>>& tier) {
     std::vector<net::NodeId> out;
@@ -170,10 +187,10 @@ ServingFabric::ServingFabric(net::Network& network, FabricConfig config)
   const auto cloud_ids = ids(clouds_);
   const auto edge_ids = ids(edges_);
   for (auto& edge : edges_) {
-    edge->set_downstream(cloud_ids, config_.edge_to_cloud);
+    edge->set_downstream(cloud_ids, kEdgeToCloud);
   }
   for (auto& gateway : gateways_) {
-    gateway->set_downstream(edge_ids, config_.gateway_to_edge);
+    gateway->set_downstream(edge_ids, kGatewayToEdge);
   }
 
   // Link-class matrix (both directions per hop): client<->gateway LAN,
@@ -183,9 +200,9 @@ ServingFabric::ServingFabric(net::Network& network, FabricConfig config)
     network.set_class_link(a, b, quality);
     network.set_class_link(b, a, quality);
   };
-  wire(kClientClass, kGatewayClass, config_.classes.lan);
-  wire(kGatewayClass, kEdgeClass, config_.classes.man);
-  wire(kEdgeClass, kCloudClass, config_.classes.wan);
+  wire(kClientClass, kGatewayClass, kLinks.lan);
+  wire(kGatewayClass, kEdgeClass, kLinks.man);
+  wire(kEdgeClass, kCloudClass, kLinks.wan);
 }
 
 void ServingFabric::attach_client(net::NodeId id) const {

@@ -125,22 +125,6 @@ struct FabricConfig {
                                .concurrency = 32,
                                .service_time = millis(1)},
                  .local_fraction = 0.0};
-  /// Inter-tier call policy; per-call deadlines are overwritten with the
-  /// request's remaining budget. Each hop's per-attempt timeout must cover
-  /// the whole *downstream subtree* (a gateway->edge call may ride the WAN
-  /// to the cloud and back before the edge can answer), not just the next
-  /// link — the remaining-budget clip tightens it per call anyway.
-  net::RpcOptions gateway_to_edge{.timeout = millis(300),
-                                  .max_attempts = 2,
-                                  .backoff_base = millis(10),
-                                  .backoff_cap = millis(50)};
-  net::RpcOptions edge_to_cloud{.timeout = millis(200),
-                                .max_attempts = 2,
-                                .backoff_base = millis(10),
-                                .backoff_cap = millis(50)};
-  /// Link qualities: client<->gateway rides lan, gateway<->edge man,
-  /// edge<->cloud wan.
-  net::LatencyClasses classes{};
 };
 
 /// Aggregated per-tier view (sums over the tier's nodes).
@@ -166,7 +150,7 @@ class ServingFabric {
   static constexpr net::LinkClass kEdgeClass = 3;
   static constexpr net::LinkClass kCloudClass = 4;
 
-  ServingFabric(net::Network& network, FabricConfig config);
+  ServingFabric(net::Network& network, const FabricConfig& config);
 
   /// Stable client -> gateway affinity (client banks route through this).
   [[nodiscard]] net::NodeId gateway_for(std::uint32_t client) const {
@@ -183,7 +167,6 @@ class ServingFabric {
 
  private:
   net::Network& net_;
-  FabricConfig config_;
   std::vector<std::unique_ptr<TierServer>> gateways_;
   std::vector<std::unique_ptr<TierServer>> edges_;
   std::vector<std::unique_ptr<TierServer>> clouds_;

@@ -2,6 +2,23 @@
 
 namespace riot::trust {
 
+namespace {
+// Beta prior: one phantom success and one phantom failure, so a fresh peer
+// starts at 0.5 and single outcomes cannot saturate the score.
+constexpr double kPriorAlpha = 1.0;
+constexpr double kPriorBeta = 1.0;
+// Evidence decay applied per observation (exponential forgetting): the
+// effective window is ~1/(1-decay) observations, so recent behaviour
+// dominates and rehabilitation is possible at all.
+constexpr double kDecay = 0.9;
+// Failure evidence weights. A falsified result is worth far more suspicion
+// than a missed deadline: deadlines are also missed for innocent reasons
+// (loss, congestion), lying is not.
+constexpr double kDeadlineWeight = 1.0;
+constexpr double kVerifyWeight = 4.0;
+constexpr double kBreakerWeight = 2.0;
+}  // namespace
+
 std::string_view to_string(Outcome outcome) {
   switch (outcome) {
     case Outcome::kSuccess: return "success";
@@ -13,11 +30,9 @@ std::string_view to_string(Outcome outcome) {
 }
 
 TrustStore::TrustStore(sim::Simulation& simulation,
-                       obs::MetricsRegistry& metrics, sim::TraceLog& trace,
-                       TrustConfig config)
+                       obs::MetricsRegistry& metrics, sim::TraceLog& trace)
     : sim_(simulation),
       trace_(trace),
-      config_(config),
       quarantines_total_(metrics
                              .counter_family("riot_trust_quarantines_total",
                                              "peers placed in quarantine")
@@ -51,29 +66,29 @@ TrustStore::PeerState& TrustStore::state_of(net::NodeId peer) {
 }
 
 double TrustStore::score_of(const PeerState& s) const {
-  const double alpha = s.alpha + config_.prior_alpha;
-  const double beta = s.beta + config_.prior_beta;
+  const double alpha = s.alpha + kPriorAlpha;
+  const double beta = s.beta + kPriorBeta;
   return alpha / (alpha + beta);
 }
 
 void TrustStore::observe(net::NodeId peer, Outcome outcome) {
   PeerState& s = state_of(peer);
-  s.alpha *= config_.decay;
-  s.beta *= config_.decay;
+  s.alpha *= kDecay;
+  s.beta *= kDecay;
   switch (outcome) {
     case Outcome::kSuccess: s.alpha += 1.0; break;
-    case Outcome::kDeadlineMissed: s.beta += config_.deadline_weight; break;
-    case Outcome::kVerifyFailed: s.beta += config_.verify_weight; break;
-    case Outcome::kBreakerTrip: s.beta += config_.breaker_weight; break;
+    case Outcome::kDeadlineMissed: s.beta += kDeadlineWeight; break;
+    case Outcome::kVerifyFailed: s.beta += kVerifyWeight; break;
+    case Outcome::kBreakerTrip: s.beta += kBreakerWeight; break;
   }
   ++s.observations;
   observations_total_[static_cast<std::size_t>(outcome)]->increment();
 
   const double score = score_of(s);
-  if (!s.quarantined && s.observations >= config_.min_observations &&
-      score < config_.quarantine_below) {
+  if (!s.quarantined && s.observations >= kMinObservations &&
+      score < kQuarantineBelow) {
     s.quarantined = true;
-    s.next_probe_at = sim_.now() + config_.probe_interval;
+    s.next_probe_at = sim_.now() + kProbeInterval;
     ++quarantined_;
     quarantines_total_.increment();
     quarantined_gauge_.set(static_cast<double>(quarantined_));
@@ -81,7 +96,7 @@ void TrustStore::observe(net::NodeId peer, Outcome outcome) {
         .warn()
         .node(peer.value)
         .kv("score_pct", static_cast<std::int64_t>(score * 100.0));
-  } else if (s.quarantined && score > config_.release_above) {
+  } else if (s.quarantined && score > kReleaseAbove) {
     s.quarantined = false;
     --quarantined_;
     releases_total_.increment();
@@ -94,7 +109,7 @@ void TrustStore::observe(net::NodeId peer, Outcome outcome) {
 
 double TrustStore::score(net::NodeId peer) const {
   if (peer.value >= peers_.size()) {
-    return config_.prior_alpha / (config_.prior_alpha + config_.prior_beta);
+    return kPriorAlpha / (kPriorAlpha + kPriorBeta);
   }
   return score_of(peers_[peer.value]);
 }
@@ -111,7 +126,7 @@ bool TrustStore::should_probe(net::NodeId peer) {
   PeerState& s = state_of(peer);
   if (!s.quarantined) return false;
   if (sim_.now() < s.next_probe_at) return false;
-  s.next_probe_at = sim_.now() + config_.probe_interval;
+  s.next_probe_at = sim_.now() + kProbeInterval;
   probes_total_.increment();
   return true;
 }

@@ -10,8 +10,8 @@
 //   RPC outcome (deadline met? response verified? breaker tripped?)
 //     --> TrustStore::observe  (decayed beta-reputation evidence)
 //     --> score in [0, 1]      (posterior mean of the beta distribution)
-//     --> hysteresis quarantine (enter < quarantine_below, leave >
-//         release_above, never on thin evidence) with periodic
+//     --> hysteresis quarantine (enter < kQuarantineBelow, leave >
+//         kReleaseAbove, never on thin evidence) with periodic
 //         rehabilitation probes so a recovered or wrongly-accused
 //         endpoint earns its way back.
 //
@@ -43,36 +43,20 @@ inline constexpr std::size_t kOutcomeCount = 4;
 
 std::string_view to_string(Outcome outcome);
 
-struct TrustConfig {
-  // Beta prior: one phantom success and one phantom failure, so a fresh
-  // peer starts at 0.5 and single outcomes cannot saturate the score.
-  double prior_alpha = 1.0;
-  double prior_beta = 1.0;
-  /// Evidence decay applied per observation (exponential forgetting):
-  /// the effective window is ~1/(1-decay) observations, so recent
-  /// behaviour dominates and rehabilitation is possible at all.
-  double decay = 0.9;
-  // Failure evidence weights. A falsified result is worth far more
-  // suspicion than a missed deadline: deadlines are also missed for
-  // innocent reasons (loss, congestion), lying is not.
-  double deadline_weight = 1.0;
-  double verify_weight = 4.0;
-  double breaker_weight = 2.0;
-  /// Never quarantine on fewer total observations than this.
-  std::uint64_t min_observations = 6;
-  // Hysteresis band: enter quarantine below the low mark, release only
-  // above the high one, so a peer hovering at the boundary cannot flap.
-  double quarantine_below = 0.30;
-  double release_above = 0.60;
-  /// Minimum spacing between rehabilitation probes to one quarantined
-  /// peer (see should_probe).
-  sim::SimTime probe_interval = sim::seconds(1);
-};
-
 class TrustStore {
  public:
+  /// Never quarantine on fewer total observations than this.
+  static constexpr std::uint64_t kMinObservations = 6;
+  // Hysteresis band: enter quarantine below the low mark, release only
+  // above the high one, so a peer hovering at the boundary cannot flap.
+  static constexpr double kQuarantineBelow = 0.30;
+  static constexpr double kReleaseAbove = 0.60;
+  /// Minimum spacing between rehabilitation probes to one quarantined
+  /// peer (see should_probe).
+  static constexpr sim::SimTime kProbeInterval = sim::seconds(1);
+
   TrustStore(sim::Simulation& simulation, obs::MetricsRegistry& metrics,
-             sim::TraceLog& trace, TrustConfig config = {});
+             sim::TraceLog& trace);
 
   TrustStore(const TrustStore&) = delete;
   TrustStore& operator=(const TrustStore&) = delete;
@@ -86,16 +70,14 @@ class TrustStore {
   [[nodiscard]] bool quarantined(net::NodeId peer) const;
   [[nodiscard]] std::uint64_t observations(net::NodeId peer) const;
 
-  /// Rehabilitation budget: true at most once per probe_interval per
+  /// Rehabilitation budget: true at most once per kProbeInterval per
   /// quarantined peer (consumes the slot). Callers route one real task to
   /// the peer and feed its outcome back via observe(); enough verified
-  /// successes lift the score over release_above and end the quarantine.
+  /// successes lift the score over kReleaseAbove and end the quarantine.
   [[nodiscard]] bool should_probe(net::NodeId peer);
 
   [[nodiscard]] std::size_t quarantined_count() const { return quarantined_; }
   [[nodiscard]] std::vector<net::NodeId> quarantined_peers() const;
-
-  [[nodiscard]] const TrustConfig& config() const { return config_; }
 
  private:
   struct PeerState {
@@ -111,7 +93,6 @@ class TrustStore {
 
   sim::Simulation& sim_;
   sim::TraceLog& trace_;
-  TrustConfig config_;
   std::vector<PeerState> peers_;  // indexed by NodeId value
   std::size_t quarantined_ = 0;
 

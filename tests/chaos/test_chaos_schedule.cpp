@@ -293,6 +293,68 @@ TEST(ChaosJson, RejectsMalformedInput) {
   EXPECT_FALSE(schedule_from_json("{\"actions\":[", &error).has_value());
 }
 
+// Each `bad` value of integer field `field` in an emitted one-action
+// schedule is rejected by an error naming the field and the offset where
+// the value starts; the field's largest value, `max`, still parses.
+void expect_integer_field(const std::string& field,
+                          const std::vector<std::string>& bad,
+                          const std::string& max) {
+  const std::string json =
+      R"({"seed":9,"node_count":3,"horizon_ns":5000000000,"actions":[)"
+      R"({"kind":"crash","at_ns":1000000000,"duration_ns":2000000000,)"
+      R"("targets":[1],"magnitude":0}]})";
+  const std::size_t from = json.find('"' + field + "\":") + field.size() +
+                           (field == "targets" ? 4 : 3);
+  const std::size_t to = json.find_first_of(",]", from);
+  const auto with = [&](const std::string& value) {
+    return json.substr(0, from) + value + json.substr(to);
+  };
+  std::string error;
+  for (const std::string& value : bad) {
+    EXPECT_FALSE(schedule_from_json(with(value), &error)) << value;
+    EXPECT_EQ(error.rfind(field + ": ", 0), 0u) << error;
+    EXPECT_TRUE(error.ends_with(" at offset " + std::to_string(from)))
+        << error;
+  }
+  EXPECT_TRUE(schedule_from_json(with(max), &error)) << error;
+}
+
+TEST(ChaosJson, RejectsMalformedSeed) {
+  expect_integer_field("seed", {"-1", "1.5", "1e3", "18446744073709551616"},
+                       "18446744073709551615");
+}
+
+TEST(ChaosJson, RejectsMalformedNodeCount) {
+  expect_integer_field("node_count",
+                       {"-1", "3.0", "3e0", "18446744073709551616"},
+                       "18446744073709551615");
+}
+
+TEST(ChaosJson, RejectsMalformedHorizon) {
+  expect_integer_field("horizon_ns",
+                       {"-5", "1.9", "5e9", "9223372036854775808"},
+                       "9223372036854775807");
+}
+
+TEST(ChaosJson, RejectsMalformedActionStart) {
+  expect_integer_field("at_ns", {"-1", "1.9", "1E9", "9223372036854775808"},
+                       "9223372036854775807");
+}
+
+TEST(ChaosJson, RejectsMalformedActionDuration) {
+  // -5 used to parse, and its crash never restarted the node.
+  expect_integer_field("duration_ns",
+                       {"-5", "2.5", "2e9", "9223372036854775808"},
+                       "9223372036854775807");
+}
+
+TEST(ChaosJson, RejectsMalformedTarget) {
+  // 4294967297 used to wrap to node 1.
+  expect_integer_field("targets",
+                       {"-1", "1.9", "1e0", "4294967296", "4294967297"},
+                       "4294967295");
+}
+
 TEST(ChaosJson, ActionKindNamesRoundTrip) {
   for (const ActionKind kind : kAllActionKinds) {
     const auto back = action_kind_from(to_string(kind));

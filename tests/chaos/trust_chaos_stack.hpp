@@ -60,7 +60,6 @@ class TrustChaosStack {
     // scoring) but routing ignores quarantine — the regime the bench
     // compares reputation-aware routing against.
     bool use_trust = true;
-    trust::TrustConfig trust;
   };
 
   struct WorkReq {
@@ -74,7 +73,7 @@ class TrustChaosStack {
                   const sim::chaos::ChaosProfile& profile, Config config)
       : chaos_(schedule, profile, 0x7bad7bad7bad7badULL),
         config_(config),
-        store_(chaos_.sim, chaos_.metrics, chaos_.trace, config.trust),
+        store_(chaos_.sim, chaos_.metrics, chaos_.trace),
         checker_(store_) {
     build();
     // Chaos targets map to edge workers; dispatchers stay honest and up.

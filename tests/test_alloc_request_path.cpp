@@ -11,18 +11,16 @@
 // on the sharded fabric, cross-shard exchange included, makes none. A SWIM
 // member answering a ping allocates only the update list its ack carries,
 // even when its piggyback queue must be reordered first.
-// Counts come from a global operator new (as in bench_scale), so this file
-// is its own test binary.
+// Counts come from the shared counting operator new (alloc_count.hpp), so
+// this file is its own test binary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 
+#include "alloc_count.hpp"
 #include "data/crdt_store.hpp"
 #include "membership/swim.hpp"
 #include "net/rpc.hpp"
@@ -33,41 +31,15 @@
 #include "sim/workload/generator.hpp"
 #include "sim/workload/service.hpp"
 
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  const std::size_t al =
-      std::max(static_cast<std::size_t>(align), sizeof(void*));
-  if (posix_memalign(&p, al, size != 0 ? size : 1) == 0) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace riot {
 namespace {
 
 /// Heap allocations made while `fn` runs.
 template <typename F>
 std::uint64_t allocs_during(F&& fn) {
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = alloc::heap_allocs();
   fn();
-  return g_heap_allocs.load(std::memory_order_relaxed) - before;
+  return alloc::heap_allocs() - before;
 }
 
 /// Run `round` three times to reach steady state, then count a fourth.
@@ -252,10 +224,9 @@ TEST_F(AllocCrdtTest, ConvergedExchangeCostDoesNotGrowWithTags) {
   ASSERT_TRUE(data::stores_converged(large.a, large.b));
   EXPECT_EQ(at_30, at_300);
   // The request and the reply each copy the store, one allocation per
-  // vector (objects, live elements, seven tag vectors, tag counters), and
-  // the round draws its pick list. Merging tags both sides already hold
-  // allocates nothing.
-  EXPECT_LE(at_300, 21u);
+  // vector (objects, live elements, seven tag vectors, tag counters).
+  // Merging tags both sides already hold allocates nothing.
+  EXPECT_LE(at_300, 20u);
 }
 
 struct AllocSwimTest : testing::NetFixture {

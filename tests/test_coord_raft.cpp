@@ -18,11 +18,10 @@ struct RaftTest : NetFixture {
   std::vector<std::unique_ptr<RaftPeer>> peers;
   std::map<std::uint32_t, std::vector<Command>> applied;  // node -> commands
 
-  void make_cluster(int n, RaftConfig cfg = {}) {
+  void make_cluster(int n) {
     for (int i = 0; i < n; ++i) {
       storages.push_back(std::make_unique<RaftStorage>());
-      peers.push_back(
-          std::make_unique<RaftPeer>(network, *storages.back(), cfg));
+      peers.push_back(std::make_unique<RaftPeer>(network, *storages.back()));
     }
     std::vector<net::NodeId> ids;
     for (auto& p : peers) ids.push_back(p->id());

@@ -340,7 +340,7 @@ TEST_F(SchedulerTest, EdgeSchedulerRoutesAroundQuarantineAndProbesBack) {
   EXPECT_EQ(*placed, edge0);
 
   // edge0's node starts returning falsified results; once the evidence
-  // clears min_observations its score collapses and quarantine engages.
+  // clears kMinObservations its score collapses and quarantine engages.
   for (int i = 0; i < 8; ++i) {
     store.observe(node0, trust::Outcome::kVerifyFailed);
   }

@@ -73,8 +73,7 @@ TEST(Maturity, Ml1SiloHasNoFlowsToLeak) {
 // --- Cloud outage (the centralization disruption) -------------------------------
 
 TEST(Maturity, CloudOutageKillsMl2ServiceNotMl4) {
-  MaturityConfig cfg;
-  auto ml2 = make_run(MaturityLevel::kCloud, 7, cfg);
+  auto ml2 = make_run(MaturityLevel::kCloud, 7);
   ml2.scenario->schedule_cloud_outage(sim::seconds(60), sim::seconds(60));
   ml2.system->run_for(sim::minutes(3));
   // During the outage, freshness collapses at ML2.
@@ -86,7 +85,7 @@ TEST(Maturity, CloudOutageKillsMl2ServiceNotMl4) {
   }
   EXPECT_LT(fresh_sat, 0.2);
 
-  auto ml4 = make_run(MaturityLevel::kResilient, 7, cfg);
+  auto ml4 = make_run(MaturityLevel::kResilient, 7);
   ml4.scenario->schedule_cloud_outage(sim::seconds(60), sim::seconds(60));
   ml4.system->run_for(sim::minutes(3));
   const auto during_ml4 =
@@ -124,9 +123,8 @@ TEST(Maturity, Ml4FailsOverWithinSeconds) {
 }
 
 TEST(Maturity, Ml1NeedsManualRepair) {
-  MaturityConfig cfg;
-  cfg.manual_repair_delay = sim::seconds(60);
-  auto run = make_run(MaturityLevel::kSilo, 42, cfg);
+  auto run = make_run(MaturityLevel::kSilo, 42,
+                      {.manual_repair_delay = sim::seconds(60)});
   run.scenario->schedule_processing_crash(0, sim::seconds(30));
   run.system->run_for(sim::minutes(3));
   const auto recovery =
@@ -151,7 +149,7 @@ TEST(Maturity, Ml2CloudMapeRestartsProcessor) {
     }
   }
   // The crash is detected within one MAPE period (~0.5 s) and the restart
-  // lands after restart_delay (5 s): freshness is violated in between.
+  // lands after the 5 s restart delay: freshness is violated in between.
   const auto during = run.scenario->report(sim::seconds(61),
                                            sim::seconds(64));
   for (const auto& [name, sat] : during.per_requirement) {

@@ -16,9 +16,9 @@ using riot::testing::NetFixture;
 struct CrdtStoreTest : NetFixture {
   std::vector<std::unique_ptr<CrdtStore>> stores;
 
-  void make_replicas(int n, CrdtStoreConfig cfg = {}) {
+  void make_replicas(int n) {
     for (int i = 0; i < n; ++i) {
-      stores.push_back(std::make_unique<CrdtStore>(network, cfg));
+      stores.push_back(std::make_unique<CrdtStore>(network));
     }
     for (auto& s : stores) {
       std::vector<net::NodeId> peers;

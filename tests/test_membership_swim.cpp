@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "net_fixture.hpp"
@@ -61,9 +64,9 @@ using riot::testing::NetFixture;
 struct SwimTest : NetFixture {
   std::vector<std::unique_ptr<SwimMember>> members;
 
-  void make_group(int n, SwimConfig cfg = {}) {
+  void make_group(int n) {
     for (int i = 0; i < n; ++i) {
-      members.push_back(std::make_unique<SwimMember>(network, cfg));
+      members.push_back(std::make_unique<SwimMember>(network));
     }
     for (auto& m : members) {
       for (auto& peer : members) {
@@ -115,8 +118,7 @@ TEST_F(SwimTest, SuspectPrecedesDead) {
 }
 
 TEST_F(SwimTest, DetectionTimeBounded) {
-  SwimConfig cfg;
-  make_group(8, cfg);
+  make_group(8);
   sim.run_until(sim::seconds(5));
   members[1]->crash();
   sim.run_until(sim::seconds(60));
@@ -193,6 +195,42 @@ TEST_F(SwimTest, SymmetricPartitionHealsAfterMutualDeath) {
           << "member " << m->id().value << " view of " << peer->id().value;
     }
   }
+}
+
+TEST_F(SwimTest, DeadProbeBatchCoversTheDeadSetInFiveRounds) {
+  // Every 3 s a member re-probes max(3, ceil(|dead| / 5)) dead members,
+  // round-robin over the dead set in id order: 20 dead take 4 per round,
+  // and five consecutive rounds name each of them.
+  make_group(24);
+  sim.run_until(sim::seconds(5));
+  std::set<std::string> crashed;
+  for (std::size_t i = 4; i < members.size(); ++i) {
+    members[i]->crash();
+    crashed.insert(to_string(members[i]->id()));
+  }
+  const SwimMember& survivor = *members[0];
+  const std::vector<net::NodeId> others{members[1]->id(), members[2]->id(),
+                                        members[3]->id()};
+  while (survivor.alive_peers() != others) {
+    ASSERT_LT(sim.now(), sim::seconds(120)) << "the crashes never all mature";
+    sim.run_for(sim::millis(100));
+  }
+  const sim::SimTime from = sim.now();
+  sim.run_for(sim::seconds(18));  // six dead-probe intervals
+  std::map<sim::SimTime, std::vector<std::string>> rounds;
+  for (const auto& event : trace.find("swim", "dead_probe")) {
+    if (event.node == survivor.id().value && event.at > from) {
+      rounds[event.at].push_back(event.detail);
+    }
+  }
+  ASSERT_GE(rounds.size(), 5u);
+  std::set<std::string> named;
+  auto round = rounds.begin();
+  for (int r = 0; r < 5; ++r, ++round) {
+    EXPECT_EQ(round->second.size(), 4u) << sim::to_seconds(round->first);
+    named.insert(round->second.begin(), round->second.end());
+  }
+  EXPECT_EQ(named, crashed);
 }
 
 TEST_F(SwimTest, PairOfMembersWorks) {

@@ -30,8 +30,7 @@ TEST(CausalChain, CrashToSwimToRaftToReplacement) {
     auto edge = device::make_edge("edge" + std::to_string(i));
     edge.location = {i * 50.0, 0};
     devices.push_back(system.add_device(std::move(edge)));
-    members.push_back(&system.attach<membership::SwimMember>(
-        devices.back(), membership::SwimConfig{}));
+    members.push_back(&system.attach<membership::SwimMember>(devices.back()));
     storages.push_back(std::make_unique<coord::RaftStorage>());
     peers.push_back(
         &system.attach<coord::RaftPeer>(devices.back(), *storages.back()));

@@ -16,20 +16,16 @@ struct TrustFixture : ::testing::Test {
   obs::MetricsRegistry metrics;
   sim::TraceLog trace;
 
-  TrustStore make(TrustConfig config = {}) {
-    return TrustStore(sim, metrics, trace, config);
-  }
+  TrustStore store{sim, metrics, trace};
 };
 
 TEST_F(TrustFixture, UnknownPeerScoresThePrior) {
-  TrustStore store = make();
   EXPECT_DOUBLE_EQ(store.score(net::NodeId{42}), 0.5);
   EXPECT_FALSE(store.quarantined(net::NodeId{42}));
   EXPECT_EQ(store.observations(net::NodeId{42}), 0u);
 }
 
 TEST_F(TrustFixture, SuccessesRaiseAndFailuresLowerTheScore) {
-  TrustStore store = make();
   const net::NodeId good{1}, bad{2};
   for (int i = 0; i < 10; ++i) {
     store.observe(good, Outcome::kSuccess);
@@ -41,21 +37,19 @@ TEST_F(TrustFixture, SuccessesRaiseAndFailuresLowerTheScore) {
 }
 
 TEST_F(TrustFixture, LyingCostsMoreThanMissingDeadlines) {
-  TrustStore store = make();
   const net::NodeId slow{1}, liar{2};
   for (int i = 0; i < 5; ++i) {
     store.observe(slow, Outcome::kDeadlineMissed);
     store.observe(liar, Outcome::kVerifyFailed);
   }
   EXPECT_LT(store.score(liar), store.score(slow))
-      << "verify_weight > deadline_weight: falsified results are stronger "
+      << "kVerifyWeight > kDeadlineWeight: falsified results are stronger "
          "evidence of misbehaviour than timeouts";
 }
 
 TEST_F(TrustFixture, NeverQuarantinesOnThinEvidence) {
-  TrustStore store = make();
   const net::NodeId peer{3};
-  const std::uint64_t min = store.config().min_observations;
+  const std::uint64_t min = TrustStore::kMinObservations;
   for (std::uint64_t i = 0; i + 1 < min; ++i) {
     store.observe(peer, Outcome::kVerifyFailed);
     EXPECT_FALSE(store.quarantined(peer))
@@ -68,29 +62,27 @@ TEST_F(TrustFixture, NeverQuarantinesOnThinEvidence) {
 }
 
 TEST_F(TrustFixture, HysteresisRequiresTheHighMarkToRelease) {
-  TrustStore store = make();
   const net::NodeId peer{4};
   for (int i = 0; i < 10; ++i) store.observe(peer, Outcome::kVerifyFailed);
   ASSERT_TRUE(store.quarantined(peer));
 
   // Climbing back: the peer stays quarantined while the score sits inside
-  // the hysteresis band, and is released only past release_above.
+  // the hysteresis band, and is released only past kReleaseAbove.
   bool released_below_high_mark = false;
   for (int i = 0; i < 60 && store.quarantined(peer); ++i) {
     store.observe(peer, Outcome::kSuccess);
     if (!store.quarantined(peer) &&
-        store.score(peer) <= store.config().release_above) {
+        store.score(peer) <= TrustStore::kReleaseAbove) {
       released_below_high_mark = true;
     }
   }
   EXPECT_FALSE(store.quarantined(peer)) << "sustained good behaviour releases";
   EXPECT_FALSE(released_below_high_mark);
-  EXPECT_GT(store.score(peer), store.config().release_above);
+  EXPECT_GT(store.score(peer), TrustStore::kReleaseAbove);
   EXPECT_EQ(store.quarantined_count(), 0u);
 }
 
 TEST_F(TrustFixture, DecayForgetsOldSins) {
-  TrustStore store = make();
   const net::NodeId peer{5};
   for (int i = 0; i < 8; ++i) store.observe(peer, Outcome::kBreakerTrip);
   const double low = store.score(peer);
@@ -101,7 +93,6 @@ TEST_F(TrustFixture, DecayForgetsOldSins) {
 }
 
 TEST_F(TrustFixture, ProbeBudgetIsOncePerIntervalAndQuarantinedOnly) {
-  TrustStore store = make();
   const net::NodeId peer{6};
   EXPECT_FALSE(store.should_probe(peer)) << "no probes for healthy peers";
   for (int i = 0; i < 10; ++i) store.observe(peer, Outcome::kVerifyFailed);
@@ -109,15 +100,14 @@ TEST_F(TrustFixture, ProbeBudgetIsOncePerIntervalAndQuarantinedOnly) {
 
   EXPECT_FALSE(store.should_probe(peer))
       << "quarantine starts with a full cooling-off interval";
-  sim.run_until(sim.now() + store.config().probe_interval);
+  sim.run_until(sim.now() + TrustStore::kProbeInterval);
   EXPECT_TRUE(store.should_probe(peer));
   EXPECT_FALSE(store.should_probe(peer)) << "slot consumed for this interval";
-  sim.run_until(sim.now() + store.config().probe_interval);
+  sim.run_until(sim.now() + TrustStore::kProbeInterval);
   EXPECT_TRUE(store.should_probe(peer)) << "budget refills after the interval";
 }
 
 TEST_F(TrustFixture, QuarantinedPeersListsExactlyTheQuarantined) {
-  TrustStore store = make();
   for (int i = 0; i < 10; ++i) {
     store.observe(net::NodeId{1}, Outcome::kVerifyFailed);
     store.observe(net::NodeId{2}, Outcome::kSuccess);
@@ -128,7 +118,6 @@ TEST_F(TrustFixture, QuarantinedPeersListsExactlyTheQuarantined) {
 }
 
 TEST_F(TrustFixture, ExportsObservationAndQuarantineMetrics) {
-  TrustStore store = make();
   const net::NodeId peer{1};
   for (int i = 0; i < 10; ++i) store.observe(peer, Outcome::kVerifyFailed);
   store.observe(peer, Outcome::kSuccess);
@@ -146,7 +135,6 @@ TEST_F(TrustFixture, ExportsObservationAndQuarantineMetrics) {
 }
 
 TEST_F(TrustFixture, QuarantineCheckerSeparatesLiarsFromHonest) {
-  TrustStore store = make();
   const net::NodeId liar{1}, honest{2};
   chaos::QuarantineChecker checker(store);
   checker.mark_adversary(liar);
