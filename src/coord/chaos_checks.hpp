@@ -73,7 +73,6 @@ class RaftGroupChecker {
   }
 
   [[nodiscard]] std::size_t size() const { return peers_.size(); }
-  [[nodiscard]] std::size_t acked_count() const { return acked_.size(); }
 
   /// Record that group member `member` applied `cmd` at `index`.
   void observe_apply(std::size_t member, std::uint64_t index,
@@ -118,7 +117,6 @@ class GossipConvergenceChecker {
     expected_[key] = std::move(value);
   }
 
-  [[nodiscard]] std::size_t expected_keys() const { return expected_.size(); }
 
   [[nodiscard]] std::optional<std::string> check() const;
 

@@ -93,7 +93,6 @@ class PlacementEngine {
 
   [[nodiscard]] std::optional<device::DeviceId> host_of(
       std::uint64_t task_id) const;
-  [[nodiscard]] std::size_t placed_count() const { return placements_.size(); }
   [[nodiscard]] const std::vector<DeviceView>& fleet() const { return fleet_; }
 
  private:

@@ -105,9 +105,6 @@ class ProcessorNode : public net::Node {
   /// Age of the newest reading (by production time); nullopt before any.
   [[nodiscard]] std::optional<sim::SimTime> data_age() const;
   [[nodiscard]] const std::string& name() const { return cfg_.name; }
-  [[nodiscard]] device::DeviceId host_device() const {
-    return cfg_.self_device;
-  }
 
  protected:
   void on_start() override;
@@ -137,7 +134,6 @@ class ActuatorNode : public net::Node {
   ActuatorNode(net::Network& network, Config config);
 
   [[nodiscard]] std::uint64_t actuations() const { return actuations_; }
-  [[nodiscard]] std::uint64_t deadline_met() const { return deadline_met_; }
   [[nodiscard]] sim::SimTime last_actuation_at() const { return last_at_; }
   [[nodiscard]] double deadline_ratio() const {
     return actuations_ == 0 ? 0.0

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "data/pubsub.hpp"
+#include "membership/heartbeat.hpp"
+
 namespace riot::core {
 
 namespace {
@@ -142,24 +145,104 @@ void attach_sensors(IoTSystem& system, MaturityScenario::Site& site,
 
 }  // namespace
 
+// --- Shared site wiring ----------------------------------------------------------
+
+void MaturityScenario::attach_actuator(Site& site) {
+  site.actuator = &system_.attach<ActuatorNode>(
+      site.actuator_dev,
+      ActuatorNode::Config{.self_device = site.actuator_dev,
+                           .deadline = kActuationDeadline});
+}
+
+ProcessorNode& MaturityScenario::attach_processor(Site& site,
+                                                  device::DeviceId host,
+                                                  std::string_view name,
+                                                  bool active) {
+  auto& processor = system_.attach<ProcessorNode>(
+      host, ProcessorNode::Config{.name = std::string(name) + site.topic,
+                                  .topic = site.topic,
+                                  .self_device = host,
+                                  .actuator = site.actuator->id(),
+                                  .active = active});
+  processor.set_lineage(lineage_.get());
+  if (active) {
+    site.primary = site.active = &processor;
+  } else {
+    site.standby = &processor;
+  }
+  return processor;
+}
+
+adapt::MapeLoop& MaturityScenario::add_loop(device::DeviceId host,
+                                            std::span<Site> served) {
+  auto& loop = system_.attach<adapt::MapeLoop>(host, kMapePeriod);
+  loops_.push_back(&loop);
+  loop.set_local_handler([this, &loop, served](const adapt::Action& action) {
+    execute(loop, served, action);
+  });
+  return loop;
+}
+
+void MaturityScenario::execute(adapt::MapeLoop& loop, std::span<Site> served,
+                               const adapt::Action& action) {
+  const bool restart = action.kind == adapt::ActionKind::kRestartComponent;
+  for (Site& site : served) {
+    if (action.kind == adapt::ActionKind::kFailover &&
+        action.component == site.topic) {
+      do_failover(site);
+    } else if (restart && action.component == "proc-" + site.topic) {
+      // Once failed over, the standby serves: the primary is not restarted.
+      loop.after(kRestartDelay, [&site] {
+        if (site.primary == site.active) site.primary->recover();
+      });
+    } else if (restart && action.component == "edge-" + site.topic) {
+      loop.after(kRestartDelay, [this, edge = site.edge] {
+        system_.recover_device(edge);
+      });
+    }
+  }
+}
+
+void MaturityScenario::add_watchdog(adapt::MapeLoop& loop,
+                                    adapt::RuleBasedPlanner& planner,
+                                    Site& site, const char* detail) {
+  const std::string requirement = "processing@" + site.topic;
+  loop.add_analyzer(requirement, [&site, requirement, detail](
+                                     const adapt::KnowledgeBase&)
+                        -> std::optional<adapt::Violation> {
+    const auto age = site.active->data_age();
+    if (!site.active->alive() || !age.has_value() || *age > kFreshnessBound) {
+      return adapt::Violation{requirement, 1.0, detail};
+    }
+    return std::nullopt;
+  });
+  planner.when(requirement,
+               adapt::Action{.kind = adapt::ActionKind::kRestartComponent,
+                             .component = "proc-" + site.topic});
+}
+
+void MaturityScenario::add_freshness_monitor(adapt::MapeLoop& loop,
+                                             Site& site) {
+  loop.add_ltl_analyzer("ltl-fresh@" + site.topic,
+                        model::ltl::always(model::ltl::prop("fresh")),
+                        [&site](const adapt::KnowledgeBase&) {
+                          model::ltl::State state;
+                          const auto age = site.active->data_age();
+                          if (age.has_value() && *age <= kFreshnessBound) {
+                            state.insert("fresh");
+                          }
+                          return state;
+                        });
+  ++monitored_requirements_;
+}
+
 // --- ML1: vertically closed silo ---------------------------------------------
 
 void MaturityScenario::build_silo() {
   for (auto& site : sites_) {
-    auto& actuator = system_.attach<ActuatorNode>(
-        site.actuator_dev,
-        ActuatorNode::Config{.self_device = site.actuator_dev,
-                             .deadline = kActuationDeadline});
-    site.actuator = &actuator;
+    attach_actuator(site);
     // Business logic bundled with the gateway "controller".
-    auto& controller = system_.attach<ProcessorNode>(
-        site.gateway, ProcessorNode::Config{.name = "proc-" + site.topic,
-                                            .topic = site.topic,
-                                            .self_device = site.gateway,
-                                            .actuator = actuator.id(),
-                                            .active = true});
-    controller.set_lineage(lineage_.get());
-    site.primary = site.active = &controller;
+    auto& controller = attach_processor(site, site.gateway, "proc-", true);
     attach_sensors(system_, site, controller.id(), lineage_.get());
   }
 }
@@ -169,54 +252,21 @@ void MaturityScenario::build_silo() {
 void MaturityScenario::build_cloud() {
   auto& broker = system_.attach<data::BrokerNode>(cloud_, system_.registry());
   broker.set_policy(policy_.get(), /*enforce=*/false);  // naive funnel
-
   auto& monitor = system_.attach<membership::HeartbeatMonitor>(cloud_);
-  cloud_monitor_ = &monitor;
-
-  auto& mape = system_.attach<adapt::MapeLoop>(cloud_, kMapePeriod);
-  cloud_mape_ = &mape;
+  // Cloud MAPE: detect stale processing, restart the component.
+  auto& mape = add_loop(cloud_, sites_);
   auto planner = std::make_unique<adapt::RuleBasedPlanner>();
-
   for (auto& site : sites_) {
-    auto& actuator = system_.attach<ActuatorNode>(
-        site.actuator_dev,
-        ActuatorNode::Config{.self_device = site.actuator_dev,
-                             .deadline = kActuationDeadline});
-    site.actuator = &actuator;
-    auto& processor = system_.attach<ProcessorNode>(
-        cloud_, ProcessorNode::Config{.name = "proc-" + site.topic,
-                                      .topic = site.topic,
-                                      .self_device = cloud_,
-                                      .actuator = actuator.id(),
-                                      .active = true});
-    processor.use_broker(broker.id());
-    processor.set_lineage(lineage_.get());
-    site.primary = site.active = &processor;
+    attach_actuator(site);
+    attach_processor(site, cloud_, "proc-", true).use_broker(broker.id());
     attach_sensors(system_, site, broker.id(), lineage_.get());
-
     // Heartbeats: edges/gateways report to the cloud monitor.
     auto& hb = system_.attach<membership::HeartbeatEmitter>(site.gateway,
                                                             monitor.id());
     monitor.watch(hb.id());
-
-    // Cloud MAPE: detect stale processing, restart the component.
-    const std::string requirement = "processing@" + site.topic;
-    Site* site_ptr = &site;
-    mape.add_analyzer(requirement, [this, site_ptr, requirement](
-                                       const adapt::KnowledgeBase&)
-                          -> std::optional<adapt::Violation> {
-      const auto age = site_ptr->primary->data_age();
-      const bool stale = !site_ptr->primary->alive() || !age.has_value() ||
-                         *age > kFreshnessBound;
-      if (stale) {
-        return adapt::Violation{requirement, 1.0, "stale or dead processor"};
-      }
-      return std::nullopt;
-    });
-    planner->when(requirement,
-                  adapt::Action{.kind = adapt::ActionKind::kRestartComponent,
-                                .component = "proc-" + site.topic});
+    add_watchdog(mape, *planner, site, "stale or dead processor");
   }
+  mape.set_planner(std::move(planner));
   // Cloud archiver: consumes the raw streams (this is the governance
   // anti-pattern ML2 represents — personal data funneled cross-border).
   auto& archiver = system_.attach<data::BrokerClient>(
@@ -225,19 +275,6 @@ void MaturityScenario::build_cloud() {
     archiver.subscribe(site.topic, [this](const data::DataItem&,
                                           sim::SimTime) { ++archived_; });
   }
-
-  mape.set_local_handler([this](const adapt::Action& action) {
-    if (action.kind != adapt::ActionKind::kRestartComponent) return;
-    for (auto& site : sites_) {
-      if (action.component == "proc-" + site.topic) {
-        Site* site_ptr = &site;
-        cloud_mape_->after(kRestartDelay, [site_ptr] {
-          site_ptr->primary->recover();
-        });
-      }
-    }
-  });
-  mape.set_planner(std::move(planner));
 }
 
 // --- ML3: edge-centric ---------------------------------------------------------
@@ -246,88 +283,35 @@ void MaturityScenario::build_edge() {
   // Cloud supervisor: watches edges, restarts them remotely (hierarchical
   // automation — edge manages the site, cloud manages the edges).
   auto& monitor = system_.attach<membership::HeartbeatMonitor>(cloud_);
-  cloud_monitor_ = &monitor;
-  auto& cloud_mape = system_.attach<adapt::MapeLoop>(cloud_, kMapePeriod);
-  cloud_mape_ = &cloud_mape;
+  auto& supervisor = add_loop(cloud_, sites_);
   auto supervisor_planner = std::make_unique<adapt::RuleBasedPlanner>();
-
   for (auto& site : sites_) {
-    auto& actuator = system_.attach<ActuatorNode>(
-        site.actuator_dev,
-        ActuatorNode::Config{.self_device = site.actuator_dev,
-                             .deadline = kActuationDeadline});
-    site.actuator = &actuator;
-
+    attach_actuator(site);
     auto& broker = system_.attach<data::BrokerNode>(site.edge,
                                                     system_.registry());
     broker.set_policy(policy_.get(), /*enforce=*/true);
-    site.site_broker = &broker;
-
-    auto& processor = system_.attach<ProcessorNode>(
-        site.edge, ProcessorNode::Config{.name = "proc-" + site.topic,
-                                         .topic = site.topic,
-                                         .self_device = site.edge,
-                                         .actuator = actuator.id(),
-                                         .active = true});
-    processor.use_broker(broker.id());
-    processor.set_lineage(lineage_.get());
-    site.primary = site.active = &processor;
+    attach_processor(site, site.edge, "proc-", true).use_broker(broker.id());
     attach_sensors(system_, site, broker.id(), lineage_.get());
 
-    // Edge MAPE: analysis and planning at the edge (Figure 5 placement).
-    auto& mape = system_.attach<adapt::MapeLoop>(site.edge, kMapePeriod);
-    site.edge_mape = &mape;
-    const std::string requirement = "processing@" + site.topic;
-    Site* site_ptr = &site;
-    mape.add_analyzer(requirement, [this, site_ptr, requirement](
-                                       const adapt::KnowledgeBase&)
-                          -> std::optional<adapt::Violation> {
-      const auto age = site_ptr->primary->data_age();
-      if (!site_ptr->primary->alive() || !age.has_value() ||
-          *age > kFreshnessBound) {
-        return adapt::Violation{requirement, 1.0, "stale processing"};
-      }
-      return std::nullopt;
-    });
-    // Formal runtime monitor on the same requirement (task-specific
+    // Edge MAPE: analysis and planning at the edge (Figure 5 placement),
+    // plus a formal runtime monitor on the same requirement (task-specific
     // verification, per the ML3 row of Table 1).
-    mape.add_ltl_analyzer(
-        "ltl-fresh@" + site.topic,
-        model::ltl::always(model::ltl::prop("fresh")),
-        [this, site_ptr](const adapt::KnowledgeBase&) {
-          model::ltl::State state;
-          const auto age = site_ptr->primary->data_age();
-          if (age.has_value() && *age <= kFreshnessBound) {
-            state.insert("fresh");
-          }
-          return state;
-        });
-    ++monitored_requirements_;
-    auto edge_planner = std::make_unique<adapt::RuleBasedPlanner>();
-    edge_planner->when(
-        requirement,
-        adapt::Action{.kind = adapt::ActionKind::kRestartComponent,
-                      .component = "proc-" + site.topic});
-    mape.set_local_handler([this, site_ptr](const adapt::Action& action) {
-      if (action.kind != adapt::ActionKind::kRestartComponent) return;
-      site_ptr->edge_mape->after(kRestartDelay, [site_ptr] {
-        site_ptr->primary->recover();
-      });
-    });
-    mape.set_planner(std::move(edge_planner));
+    auto& mape = add_loop(site.edge, {&site, 1});
+    auto planner = std::make_unique<adapt::RuleBasedPlanner>();
+    add_watchdog(mape, *planner, site, "stale processing");
+    add_freshness_monitor(mape, site);
+    mape.set_planner(std::move(planner));
 
     // Edge heartbeats to the cloud supervisor.
     auto& hb = system_.attach<membership::HeartbeatEmitter>(site.edge,
                                                             monitor.id());
-    site.edge_heartbeat = &hb;
     monitor.watch(hb.id());
-
     const std::string edge_req = "edge@" + site.topic;
-    cloud_mape.add_analyzer(
-        edge_req, [this, site_ptr, edge_req, hb_id = hb.id()](
+    supervisor.add_analyzer(
+        edge_req, [&monitor, edge_req, hb_id = hb.id()](
                       const adapt::KnowledgeBase&)
                       -> std::optional<adapt::Violation> {
-          if (!cloud_monitor_->considers_alive(hb_id)) {
+          if (!monitor.considers_alive(hb_id)) {
             return adapt::Violation{edge_req, 1.0, "edge unresponsive"};
           }
           return std::nullopt;
@@ -336,18 +320,7 @@ void MaturityScenario::build_edge() {
         edge_req, adapt::Action{.kind = adapt::ActionKind::kRestartComponent,
                                 .component = "edge-" + site.topic});
   }
-  cloud_mape.set_local_handler([this](const adapt::Action& action) {
-    if (action.kind != adapt::ActionKind::kRestartComponent) return;
-    for (auto& site : sites_) {
-      if (action.component == "edge-" + site.topic) {
-        device::DeviceId edge_dev = site.edge;
-        cloud_mape_->after(kRestartDelay, [this, edge_dev] {
-          system_.recover_device(edge_dev);
-        });
-      }
-    }
-  });
-  cloud_mape.set_planner(std::move(supervisor_planner));
+  supervisor.set_planner(std::move(supervisor_planner));
 }
 
 // --- ML4: resilient, decentralized ---------------------------------------------
@@ -360,20 +333,13 @@ void MaturityScenario::build_resilient() {
   cloud_relay.set_policy(policy_.get(), /*enforce=*/true);
 
   for (auto& site : sites_) {
-    auto& actuator = system_.attach<ActuatorNode>(
-        site.actuator_dev,
-        ActuatorNode::Config{.self_device = site.actuator_dev,
-                             .deadline = kActuationDeadline});
-    site.actuator = &actuator;
-
+    attach_actuator(site);
     auto& edge_relay = system_.attach<data::EpidemicPubSub>(
         site.edge, system_.registry(), site.edge, 8);
     edge_relay.set_policy(policy_.get(), /*enforce=*/true);
-    site.edge_relay = &edge_relay;
     auto& gw_relay = system_.attach<data::EpidemicPubSub>(
         site.gateway, system_.registry(), site.gateway, 8);
     gw_relay.set_policy(policy_.get(), /*enforce=*/true);
-    site.gateway_relay = &gw_relay;
     edge_relay.add_peer(gw_relay.id());
     gw_relay.add_peer(edge_relay.id());
     edge_relay.add_peer(cloud_relay.id());
@@ -381,22 +347,8 @@ void MaturityScenario::build_resilient() {
     cloud_relay.subscribe(site.topic, [this](const data::DataItem&,
                                              sim::SimTime) { ++archived_; });
 
-    auto& primary = system_.attach<ProcessorNode>(
-        site.edge, ProcessorNode::Config{.name = "proc-" + site.topic,
-                                         .topic = site.topic,
-                                         .self_device = site.edge,
-                                         .actuator = actuator.id(),
-                                         .active = true});
-    primary.set_lineage(lineage_.get());
-    auto& standby = system_.attach<ProcessorNode>(
-        site.gateway, ProcessorNode::Config{.name = "proc2-" + site.topic,
-                                            .topic = site.topic,
-                                            .self_device = site.gateway,
-                                            .actuator = actuator.id(),
-                                            .active = false});
-    standby.set_lineage(lineage_.get());
-    site.primary = site.active = &primary;
-    site.standby = &standby;
+    auto& primary = attach_processor(site, site.edge, "proc-", true);
+    auto& standby = attach_processor(site, site.gateway, "proc2-", false);
     edge_relay.subscribe(site.topic,
                          [&primary](const data::DataItem& item, sim::SimTime) {
                            primary.handle_item(item);
@@ -416,79 +368,42 @@ void MaturityScenario::build_resilient() {
     auto& gw_swim = system_.attach<membership::SwimMember>(site.gateway);
     edge_swim.add_peer(gw_swim.id());
     gw_swim.add_peer(edge_swim.id());
-    site.edge_swim = &edge_swim;
-    site.gateway_swim = &gw_swim;
 
-    wire_site_failover(site);
+    wire_site_failover(site, gw_swim, edge_swim.id());
 
     // Edge MAPE with local self-healing + formal monitors (freshness and
     // actuation), as in ML3 but with actions that never leave the site.
-    auto& mape = system_.attach<adapt::MapeLoop>(site.edge, kMapePeriod);
-    site.edge_mape = &mape;
-    Site* site_ptr = &site;
-    const std::string requirement = "processing@" + site.topic;
-    mape.add_analyzer(requirement, [this, site_ptr, requirement](
-                                       const adapt::KnowledgeBase&)
-                          -> std::optional<adapt::Violation> {
-      const auto age = site_ptr->active->data_age();
-      if (!site_ptr->active->alive() || !age.has_value() ||
-          *age > kFreshnessBound) {
-        return adapt::Violation{requirement, 1.0, "stale processing"};
-      }
-      return std::nullopt;
-    });
-    mape.add_ltl_analyzer(
-        "ltl-fresh@" + site.topic,
-        model::ltl::always(model::ltl::prop("fresh")),
-        [this, site_ptr](const adapt::KnowledgeBase&) {
-          model::ltl::State state;
-          const auto age = site_ptr->active->data_age();
-          if (age.has_value() && *age <= kFreshnessBound) {
-            state.insert("fresh");
-          }
-          return state;
-        });
+    auto& mape = add_loop(site.edge, {&site, 1});
+    auto planner = std::make_unique<adapt::RuleBasedPlanner>();
+    add_watchdog(mape, *planner, site, "stale processing");
+    add_freshness_monitor(mape, site);
     mape.add_ltl_analyzer(
         "ltl-actuation@" + site.topic,
         model::ltl::always(model::ltl::prop("actuating")),
-        [site_ptr](const adapt::KnowledgeBase&) {
+        [&site](const adapt::KnowledgeBase&) {
           model::ltl::State state;
-          if (site_ptr->actuator->recent_deadline_ratio(8) >= 0.5) {
+          if (site.actuator->recent_deadline_ratio(8) >= 0.5) {
             state.insert("actuating");
           }
           return state;
         });
-    monitored_requirements_ += 2;
-    auto edge_planner = std::make_unique<adapt::RuleBasedPlanner>();
-    edge_planner->when(
-        requirement,
-        adapt::Action{.kind = adapt::ActionKind::kRestartComponent,
-                      .component = "proc-" + site.topic});
-    mape.set_local_handler([this, site_ptr](const adapt::Action& action) {
-      if (action.kind != adapt::ActionKind::kRestartComponent) return;
-      site_ptr->edge_mape->after(kRestartDelay, [site_ptr] {
-        if (site_ptr->primary == site_ptr->active) {
-          site_ptr->primary->recover();
-        }
-      });
-    });
-    mape.set_planner(std::move(edge_planner));
+    ++monitored_requirements_;
+    mape.set_planner(std::move(planner));
   }
 }
 
-void MaturityScenario::wire_site_failover(Site& site) {
+void MaturityScenario::wire_site_failover(Site& site,
+                                          membership::SwimMember& gateway_swim,
+                                          net::NodeId edge_swim) {
   // Gateway MAPE: SWIM-driven failover + watchdog restart of the edge.
-  auto& mape = system_.attach<adapt::MapeLoop>(site.gateway,
-                                               kMapePeriod);
-  site.gateway_mape = &mape;
-  Site* site_ptr = &site;
+  auto& mape = add_loop(site.gateway, {&site, 1});
   const std::string requirement = "edge-alive@" + site.topic;
   mape.add_analyzer(
-      requirement,
-      [site_ptr, requirement, edge_node = site.edge_swim->id()](
-          const adapt::KnowledgeBase&) -> std::optional<adapt::Violation> {
-        if (site_ptr->failover_done) return std::nullopt;
-        if (site_ptr->gateway_swim->state_of(edge_node) ==
+      requirement, [&site, &gateway_swim, edge_swim, requirement](
+                       const adapt::KnowledgeBase&)
+                       -> std::optional<adapt::Violation> {
+        if (site.failover_done) return std::nullopt;
+        if (gateway_swim.state_of(edge_swim) ==
             membership::MemberState::kDead) {
           return adapt::Violation{requirement, 1.0, "edge declared dead"};
         }
@@ -500,23 +415,13 @@ void MaturityScenario::wire_site_failover(Site& site) {
       .matches = [requirement](const adapt::Violation& v) {
         return v.requirement == requirement;
       },
-      .make = [site_ptr](const adapt::Violation&, const adapt::KnowledgeBase&) {
+      .make = [&site](const adapt::Violation&, const adapt::KnowledgeBase&) {
         return std::vector<adapt::Action>{
             adapt::Action{.kind = adapt::ActionKind::kFailover,
-                          .component = site_ptr->topic},
+                          .component = site.topic},
             adapt::Action{.kind = adapt::ActionKind::kRestartComponent,
-                          .component = "edge-" + site_ptr->topic}};
+                          .component = "edge-" + site.topic}};
       }});
-  mape.set_local_handler([this, site_ptr](const adapt::Action& action) {
-    if (action.kind == adapt::ActionKind::kFailover) {
-      do_failover(*site_ptr);
-    } else if (action.kind == adapt::ActionKind::kRestartComponent) {
-      device::DeviceId edge_dev = site_ptr->edge;
-      site_ptr->gateway_mape->after(kRestartDelay, [this, edge_dev] {
-        system_.recover_device(edge_dev);
-      });
-    }
-  });
   mape.set_planner(std::move(planner));
 }
 
@@ -666,13 +571,7 @@ void MaturityScenario::schedule_sensor_churn(sim::SimTime from,
 
 std::uint64_t MaturityScenario::autonomous_actions() const {
   std::uint64_t total = 0;
-  if (cloud_mape_ != nullptr) total += cloud_mape_->actions_issued();
-  for (const auto& site : sites_) {
-    if (site.edge_mape != nullptr) total += site.edge_mape->actions_issued();
-    if (site.gateway_mape != nullptr) {
-      total += site.gateway_mape->actions_issued();
-    }
-  }
+  for (const adapt::MapeLoop* loop : loops_) total += loop->actions_issued();
   return total;
 }
 

@@ -20,13 +20,20 @@
 //                  on the gateway with MAPE failover, policy enforcement
 //                  at every relay, autonomous watchdog restarts.
 //
+// Each level is a short recipe over the same site wiring, written once:
+// the actuator and processor attach, a MAPE loop bound to the one action
+// executor (restart a processor, restart an edge, fail over) for the sites
+// it serves, the processing watchdog (a `processing@<topic>` analyzer and
+// its `restart proc-<topic>` rule) and the LTL freshness monitor. What a
+// recipe adds beyond those is what sets its level apart.
+//
 // A MaturityScenario builds the fleet, wires the requirement probes
 // (freshness, actuation timeliness, privacy) into the ResilienceEvaluator
 // and exposes the disruption schedule used by the benchmarks.
 #pragma once
 
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,8 +43,6 @@
 #include "core/system.hpp"
 #include "data/lineage.hpp"
 #include "data/privacy.hpp"
-#include "data/pubsub.hpp"
-#include "membership/heartbeat.hpp"
 #include "membership/swim.hpp"
 
 namespace riot::core {
@@ -70,16 +75,8 @@ class MaturityScenario {
     std::vector<SensorNode*> sensors;
     ActuatorNode* actuator = nullptr;
     ProcessorNode* primary = nullptr;
-    ProcessorNode* standby = nullptr;       // ML4
-    ProcessorNode* active = nullptr;        // whichever currently actuates
-    data::BrokerNode* site_broker = nullptr;        // ML3
-    data::EpidemicPubSub* edge_relay = nullptr;     // ML4
-    data::EpidemicPubSub* gateway_relay = nullptr;  // ML4
-    membership::SwimMember* edge_swim = nullptr;    // ML4
-    membership::SwimMember* gateway_swim = nullptr; // ML4
-    adapt::MapeLoop* edge_mape = nullptr;           // ML3/ML4
-    adapt::MapeLoop* gateway_mape = nullptr;        // ML4
-    membership::HeartbeatEmitter* edge_heartbeat = nullptr;  // ML3
+    ProcessorNode* standby = nullptr;  // ML4
+    ProcessorNode* active = nullptr;   // whichever currently actuates
     bool failover_done = false;
   };
 
@@ -124,8 +121,6 @@ class MaturityScenario {
   }
 
   [[nodiscard]] const std::vector<Site>& sites() const { return sites_; }
-  [[nodiscard]] std::vector<Site>& sites() { return sites_; }
-  [[nodiscard]] data::PolicyEngine* policy() { return policy_.get(); }
 
  private:
   void build_fleet();
@@ -134,17 +129,32 @@ class MaturityScenario {
   void build_edge();
   void build_resilient();
   void add_probes();
-  void wire_site_failover(Site& site);
+  void wire_site_failover(Site& site, membership::SwimMember& gateway_swim,
+                          net::NodeId edge_swim);
   void do_failover(Site& site);
+
+  // Shared site wiring (see the header comment).
+  void attach_actuator(Site& site);
+  /// `name` is the prefix of the processor's name: "proc-" or "proc2-".
+  /// An active processor becomes the site's primary, a passive one its
+  /// standby.
+  ProcessorNode& attach_processor(Site& site, device::DeviceId host,
+                                  std::string_view name, bool active);
+  /// A MAPE loop on `host` whose actions the executor applies to `served`.
+  adapt::MapeLoop& add_loop(device::DeviceId host, std::span<Site> served);
+  void execute(adapt::MapeLoop& loop, std::span<Site> served,
+               const adapt::Action& action);
+  void add_watchdog(adapt::MapeLoop& loop, adapt::RuleBasedPlanner& planner,
+                    Site& site, const char* detail);
+  void add_freshness_monitor(adapt::MapeLoop& loop, Site& site);
 
   IoTSystem& system_;
   MaturityLevel level_;
   MaturityConfig cfg_;
   std::vector<Site> sites_;
   device::DeviceId cloud_;
-  membership::HeartbeatMonitor* cloud_monitor_ = nullptr;  // ML2/ML3
-  adapt::MapeLoop* cloud_mape_ = nullptr;           // ML2/ML3
-  std::uint64_t archived_ = 0;                      // items at cloud archiver
+  std::vector<adapt::MapeLoop*> loops_;  // every loop the level built
+  std::uint64_t archived_ = 0;           // items at cloud archiver
   std::unique_ptr<data::PolicyEngine> policy_;
   std::unique_ptr<data::LineageGraph> lineage_;
   std::uint64_t manual_repairs_ = 0;

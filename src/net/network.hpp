@@ -165,9 +165,6 @@ class Network {
   [[nodiscard]] std::uint64_t messages_duplicated() const {
     return duplicated_total_.value();
   }
-  [[nodiscard]] std::uint64_t messages_falsified() const {
-    return falsified_total_.value();
-  }
   [[nodiscard]] std::uint64_t bytes_sent() const {
     return bytes_total_.value();
   }

@@ -127,9 +127,6 @@ class MetricsRegistry {
   histograms() const {
     return histograms_;
   }
-  [[nodiscard]] const std::map<std::string, TimeSeries>& series_map() const {
-    return series_;
-  }
 
   // --- Exporters -----------------------------------------------------------
 

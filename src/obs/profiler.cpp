@@ -1,34 +1,81 @@
 #include "obs/profiler.hpp"
 
+#include <cmath>
+#include <map>
+#include <string>
+
+#include "sim/sharded.hpp"
+
 namespace riot::obs {
 
-SimProfiler::Handles& SimProfiler::handles_for(sim::ComponentId component) {
-  if (component >= by_component_.size()) {
-    by_component_.resize(sim_.component_count());
+namespace {
+
+std::vector<sim::Simulation*> shards_of(sim::ShardedSimulation& kernel) {
+  std::vector<sim::Simulation*> shards;
+  for (std::size_t i = 0; i < kernel.shard_count(); ++i) {
+    shards.push_back(&kernel.shard(i));
   }
-  Handles& handles = by_component_[component];
-  if (handles.events == nullptr) {
-    Labels labels;
-    labels.emplace_back("component", std::string(sim_.component_name(component)));
-    handles.events =
-        &registry_
-             .counter_family("riot_sim_events_total",
-                             "simulation events dispatched per component")
-             .with(labels);
-    handles.wall =
-        &registry_
-             .histogram_family("riot_sim_handler_wall_us",
-                               "host wall-clock handler cost per component")
-             .with(labels);
-  }
-  return handles;
+  return shards;
 }
 
-void SimProfiler::on_event(sim::ComponentId component, sim::SimTime /*at*/,
-                           double wall_micros) {
-  Handles& handles = handles_for(component);
-  handles.events->increment();
-  handles.wall->record(wall_micros);
+}  // namespace
+
+SimProfiler::SimProfiler(sim::Simulation& simulation)
+    : kernels_{&simulation}, collectors_(1) {}
+
+SimProfiler::SimProfiler(sim::ShardedSimulation& kernel)
+    : kernels_(shards_of(kernel)), collectors_(kernels_.size()) {}
+
+void SimProfiler::install() {
+  for (std::size_t i = 0; i < kernels_.size(); ++i) {
+    kernels_[i]->set_profiler(&collectors_[i]);
+  }
+}
+
+void SimProfiler::uninstall() {
+  for (std::size_t i = 0; i < kernels_.size(); ++i) {
+    if (kernels_[i]->profiler() == &collectors_[i]) {
+      kernels_[i]->set_profiler(nullptr);
+    }
+  }
+}
+
+void SimProfiler::export_metrics(MetricsRegistry& registry) const {
+  struct Totals {
+    std::uint64_t events = 0;
+    double wall_ns = 0.0;
+  };
+  std::map<std::string, Totals> merged;
+  for (std::size_t i = 0; i < collectors_.size(); ++i) {
+    const std::vector<Collector::Cell>& cells = collectors_[i].by_component;
+    for (std::size_t id = 0; id < cells.size(); ++id) {
+      if (cells[id].events == 0) continue;
+      Totals& totals = merged[std::string(kernels_[i]->component_name(
+          static_cast<sim::ComponentId>(id)))];
+      totals.events += cells[id].events;
+      totals.wall_ns += cells[id].wall_ns;
+    }
+  }
+  auto& events_family = registry.counter_family(
+      "riot_sim_events_total", "simulation events dispatched per component");
+  auto& wall_family = registry.counter_family(
+      "riot_sim_handler_wall_ns_total",
+      "host wall-clock handler time per component, in nanoseconds");
+  for (const auto& [name, totals] : merged) {
+    events_family.with({{"component", name}}).increment(totals.events);
+    wall_family.with({{"component", name}})
+        .increment(static_cast<std::uint64_t>(std::llround(totals.wall_ns)));
+  }
+}
+
+std::uint64_t SimProfiler::total_events() const {
+  std::uint64_t total = 0;
+  for (const Collector& collector : collectors_) {
+    for (const Collector::Cell& cell : collector.by_component) {
+      total += cell.events;
+    }
+  }
+  return total;
 }
 
 }  // namespace riot::obs

@@ -37,7 +37,6 @@ class SloTracker {
   [[nodiscard]] std::uint64_t ok_within_slo() const {
     return ok_within_.value();
   }
-  [[nodiscard]] std::uint64_t ok_late() const { return ok_late_.value(); }
   [[nodiscard]] std::uint64_t failed() const { return failed_.value(); }
 
   /// Fraction of all finished requests that succeeded within the SLO

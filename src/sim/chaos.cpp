@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -319,7 +319,13 @@ class JsonReader {
     }
     return false;
   }
+  /// fail() reporting offset `at`, where the offending value starts.
+  bool fail_at(std::size_t at, std::string message) {
+    pos_ = at;
+    return fail(std::move(message));
+  }
   [[nodiscard]] const std::string& error() const { return error_; }
+  [[nodiscard]] std::size_t pos() const { return pos_; }
 
   void skip_ws() {
     while (pos_ < src_.size() &&
@@ -432,9 +438,9 @@ class JsonReader {
     const char* const end = tok.data() + tok.size();
     const auto [stop, ec] = std::from_chars(tok.data(), end, out);
     if (ec != std::errc{} || stop != end || out > max) {
-      pos_ = start;
-      return fail(std::string(field) + ": expected an integer in [0, " +
-                  std::to_string(max) + "], got " + tok);
+      return fail_at(start, std::string(field) +
+                                ": expected an integer in [0, " +
+                                std::to_string(max) + "], got " + tok);
     }
     return true;
   }
@@ -444,10 +450,19 @@ class JsonReader {
     out = nanos(static_cast<std::int64_t>(v));
     return true;
   }
-  bool parse_double(double& out) {
+  /// A finite number, the whole token: "1e999", "-" and "1.2.3" are errors
+  /// naming `field`. Exponent form is legal; schedule_to_json writes %.17g.
+  bool parse_real(std::string_view field, double& out) {
+    skip_ws();
+    const std::size_t start = pos_;
     std::string tok;
     if (!parse_number_token(tok)) return false;
-    out = std::strtod(tok.c_str(), nullptr);
+    const char* const end = tok.data() + tok.size();
+    const auto [stop, ec] = std::from_chars(tok.data(), end, out);
+    if (ec != std::errc{} || stop != end || !std::isfinite(out)) {
+      return fail_at(start, std::string(field) +
+                                ": expected a finite number, got " + tok);
+    }
     return true;
   }
 
@@ -457,9 +472,41 @@ class JsonReader {
   std::string error_;
 };
 
+/// A latency factor (delay, delay_inflate) is healthy at 1 and must not be
+/// negative; a probability (loss, duplicate, falsify, selective_drop,
+/// flip_flop) lies in [0, 1]. Checked once the action is whole, since its
+/// kind may follow its magnitude.
+bool check_magnitude(JsonReader& r, const ChaosAction& action,
+                     std::size_t at) {
+  const double m = action.magnitude;
+  const char* expected = nullptr;
+  switch (action.kind) {
+    case ActionKind::kDelay:
+    case ActionKind::kDelayInflate:
+      if (m < 0.0) expected = "a factor >= 0";
+      break;
+    case ActionKind::kLoss:
+    case ActionKind::kDuplicate:
+    case ActionKind::kFalsify:
+    case ActionKind::kSelectiveDrop:
+    case ActionKind::kFlipFlop:
+      if (m < 0.0 || m > 1.0) expected = "a probability in [0, 1]";
+      break;
+    default:
+      break;
+  }
+  if (expected == nullptr) return true;
+  std::string got;
+  append_double(got, m);
+  return r.fail_at(at, std::string("magnitude: expected ") + expected +
+                           " for " + std::string(to_string(action.kind)) +
+                           ", got " + got);
+}
+
 bool parse_action(JsonReader& r, ChaosAction& action) {
   if (!r.expect('{')) return false;
   if (r.consume_if('}')) return true;
+  std::size_t magnitude_at = r.pos();
   do {
     std::string key;
     if (!r.parse_string(key) || !r.expect(':')) return false;
@@ -484,12 +531,14 @@ bool parse_action(JsonReader& r, ChaosAction& action) {
         if (!r.expect(']')) return false;
       }
     } else if (key == "magnitude") {
-      if (!r.parse_double(action.magnitude)) return false;
+      r.skip_ws();
+      magnitude_at = r.pos();
+      if (!r.parse_real("magnitude", action.magnitude)) return false;
     } else {
       if (!r.skip_value()) return false;
     }
   } while (r.consume_if(','));
-  return r.expect('}');
+  return r.expect('}') && check_magnitude(r, action, magnitude_at);
 }
 
 }  // namespace
@@ -551,7 +600,19 @@ struct PlannedWindow {
   ActionKind kind;
   std::uint32_t node;
   double magnitude;
+  std::size_t knob = 0;              // index in InstalledWindows::knobs
   std::vector<std::uint32_t> group;  // kPartition only
+};
+
+/// A knob some planned window holds, and the windows open on it.
+struct Knob {
+  ActionKind kind;
+  std::uint32_t node;
+  std::vector<std::size_t> open;  // oldest first
+
+  [[nodiscard]] std::pair<ActionKind, std::uint32_t> key() const {
+    return {kind, node};
+  }
 };
 
 /// The one owner of a schedule's window state. Every knob (node 3's crash,
@@ -564,18 +625,11 @@ struct PlannedWindow {
 /// loss or partition window ending restores the outer window's magnitude
 /// or layout.
 struct InstalledWindows {
-  InstalledWindows(ChaosHooks hooks, std::size_t nodes)
-      : hooks(std::move(hooks)),
-        nodes(nodes),
-        open_windows(kAllActionKinds.size() * nodes) {}
-
-  std::vector<std::size_t>& open_on(ActionKind kind, std::uint32_t node) {
-    return open_windows[static_cast<std::size_t>(kind) * nodes + node];
-  }
+  explicit InstalledWindows(ChaosHooks hooks) : hooks(std::move(hooks)) {}
 
   void open(std::size_t w) {
     const PlannedWindow& window = windows[w];
-    std::vector<std::size_t>& on = open_on(window.kind, window.node);
+    std::vector<std::size_t>& on = knobs[window.knob].open;
     on.push_back(w);
     switch (window.kind) {
       case ActionKind::kCrash:
@@ -595,7 +649,7 @@ struct InstalledWindows {
 
   void close(std::size_t w) {
     const PlannedWindow& window = windows[w];
-    std::vector<std::size_t>& on = open_on(window.kind, window.node);
+    std::vector<std::size_t>& on = knobs[window.knob].open;
     on.erase(std::find(on.begin(), on.end(), w));
     const PlannedWindow* newest = on.empty() ? nullptr : &windows[on.back()];
     switch (window.kind) {
@@ -616,8 +670,10 @@ struct InstalledWindows {
         // A heal typically resets *all* topology state, including
         // isolation owned by still-open isolate windows: re-assert it.
         if (hooks.isolate) {
-          for (std::uint32_t n = 0; n < nodes; ++n) {
-            if (!open_on(ActionKind::kIsolate, n).empty()) hooks.isolate(n);
+          for (const Knob& knob : knobs) {
+            if (knob.kind == ActionKind::kIsolate && !knob.open.empty()) {
+              hooks.isolate(knob.node);
+            }
           }
         }
         break;
@@ -652,10 +708,11 @@ struct InstalledWindows {
   }
 
   ChaosHooks hooks;
-  std::size_t nodes;
   std::vector<PlannedWindow> windows;
-  // Indexed by kind * nodes + node.
-  std::vector<std::vector<std::size_t>> open_windows;
+  // Sorted by key, so the isolate knobs a heal re-asserts come by node.
+  // One per knob a window holds: the table grows with the schedule, never
+  // with its node_count.
+  std::vector<Knob> knobs;
 };
 
 /// Whether the scenario bound the hook that applies `kind`.
@@ -699,7 +756,9 @@ std::string action_name(const ChaosAction& action) {
 std::size_t install_schedule(const ChaosSchedule& schedule,
                              FaultInjector& injector, ChaosHooks hooks) {
   const std::size_t nodes = std::max<std::size_t>(schedule.node_count, 1);
-  auto state = std::make_shared<InstalledWindows>(std::move(hooks), nodes);
+  auto state = std::make_shared<InstalledWindows>(std::move(hooks));
+  std::vector<Knob>& knobs = state->knobs;
+  knobs.reserve(schedule.actions.size());
   // Plans window `window` over [start, start + length): its apply opens it
   // and its revert closes it.
   const auto plan = [&](const std::string& name, SimTime start,
@@ -726,16 +785,19 @@ std::size_t install_schedule(const ChaosSchedule& schedule,
     const bool per_node = !global_knob && action.kind != ActionKind::kPartition;
     const auto node =
         per_node ? static_cast<std::uint32_t>(action.targets[0] % nodes) : 0u;
-    PlannedWindow window{action.kind, node, action.magnitude, {}};
+    // The on-windows of a flip-flop hold the node's falsify knob like
+    // plain falsify windows do, so the two compose.
+    const ActionKind kind = action.kind == ActionKind::kFlipFlop
+                                ? ActionKind::kFalsify
+                                : action.kind;
+    knobs.push_back(Knob{kind, node, {}});
+    PlannedWindow window{kind, node, action.magnitude, 0, {}};
     if (action.kind == ActionKind::kPartition) window.group = action.targets;
     const std::string name = action_name(action);
     if (action.kind == ActionKind::kFlipFlop) {
       // Alternating falsify-on windows (bad for one phase, honest for the
       // next, three on-phases per action); durations too short to slice
-      // degrade to one solid falsify window. The on-windows hold the
-      // node's falsify knob like plain falsify windows do, so the two
-      // compose.
-      window.kind = ActionKind::kFalsify;
+      // degrade to one solid falsify window.
       const SimTime phase = action.duration / 6;
       if (phase > kSimTimeZero) {
         plan(name, action.at, phase, window, 0);
@@ -753,6 +815,22 @@ std::size_t install_schedule(const ChaosSchedule& schedule,
            action.kind == ActionKind::kCrash ? 1 : 0);
     }
     ++installed;
+  }
+  // One knob per key; each window finds its own by binary search.
+  const auto by_key = [](const Knob& a, const Knob& b) {
+    return a.key() < b.key();
+  };
+  std::sort(knobs.begin(), knobs.end(), by_key);
+  knobs.erase(std::unique(knobs.begin(), knobs.end(),
+                          [](const Knob& a, const Knob& b) {
+                            return a.key() == b.key();
+                          }),
+              knobs.end());
+  for (PlannedWindow& window : state->windows) {
+    const Knob key{window.kind, window.node, {}};
+    window.knob = static_cast<std::size_t>(
+        std::lower_bound(knobs.begin(), knobs.end(), key, by_key) -
+        knobs.begin());
   }
   return installed;
 }

@@ -78,7 +78,6 @@ class AdmissionQueue {
   [[nodiscard]] std::uint64_t shed_full() const { return shed_full_; }
   [[nodiscard]] std::uint64_t shed_expired() const { return shed_expired_; }
   [[nodiscard]] std::size_t queued() const { return queue_.size(); }
-  [[nodiscard]] std::size_t in_service() const { return in_service_; }
   [[nodiscard]] std::size_t queue_high_water() const { return high_water_; }
 
  private:

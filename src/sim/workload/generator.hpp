@@ -82,8 +82,6 @@ class OpenLoopGenerator {
   [[nodiscard]] std::uint64_t arrivals() const { return arrivals_; }
   [[nodiscard]] std::uint64_t candidates() const { return candidates_; }
   [[nodiscard]] std::uint64_t trace_hash() const { return hash_.value(); }
-  /// Aggregate envelope rate (candidates/sec) the thinning loop draws at.
-  [[nodiscard]] double envelope_rate_hz() const { return envelope_hz_; }
 
  private:
   void schedule_next();

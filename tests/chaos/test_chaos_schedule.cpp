@@ -355,6 +355,95 @@ TEST(ChaosJson, RejectsMalformedTarget) {
                        "4294967295");
 }
 
+// The emitted one-action schedule with action kind `kind` and magnitude
+// token `magnitude` spliced in; `at` receives the offset where the
+// magnitude starts.
+std::string with_magnitude(const std::string& kind,
+                           const std::string& magnitude, std::size_t& at) {
+  const std::string head =
+      R"({"seed":9,"node_count":3,"horizon_ns":5000000000,"actions":[)"
+      R"({"kind":")" + kind +
+      R"(","at_ns":1000000000,"duration_ns":2000000000,"targets":[1],)"
+      R"("magnitude":)";
+  at = head.size();
+  return head + magnitude + "}]}";
+}
+
+// `magnitude` is rejected for `kind` by an error naming the field and the
+// offset where the value starts.
+void expect_bad_magnitude(const std::string& kind,
+                          const std::string& magnitude) {
+  std::size_t at = 0;
+  const std::string json = with_magnitude(kind, magnitude, at);
+  std::string error;
+  EXPECT_FALSE(schedule_from_json(json, &error)) << kind << " " << magnitude;
+  EXPECT_EQ(error.rfind("magnitude: ", 0), 0u) << error;
+  EXPECT_TRUE(error.ends_with(" at offset " + std::to_string(at))) << error;
+}
+
+void expect_magnitude(const std::string& kind, const std::string& magnitude,
+                      double value) {
+  std::size_t at = 0;
+  std::string error;
+  const auto parsed =
+      schedule_from_json(with_magnitude(kind, magnitude, at), &error);
+  ASSERT_TRUE(parsed) << error;
+  EXPECT_EQ(parsed->actions.at(0).magnitude, value) << magnitude;
+}
+
+TEST(ChaosJson, RejectsInfiniteMagnitude) {
+  // 1e999 used to parse as inf.
+  expect_bad_magnitude("clock_skew", "1e999");
+  expect_bad_magnitude("clock_skew", "-1e999");
+  expect_magnitude("clock_skew", "1e300", 1e300);
+}
+
+TEST(ChaosJson, RejectsSignOnlyMagnitude) {
+  // "-" used to parse as 0.
+  expect_bad_magnitude("crash", "-");
+  expect_bad_magnitude("crash", "-.");
+  expect_magnitude("crash", "-0", 0.0);
+}
+
+TEST(ChaosJson, RejectsPartlyReadMagnitude) {
+  // 1.2.3 used to parse as 1.2.
+  expect_bad_magnitude("clock_skew", "1.2.3");
+  expect_bad_magnitude("clock_skew", "1e");
+  expect_bad_magnitude("clock_skew", "1.5-2");
+  expect_magnitude("clock_skew", "1.25", 1.25);
+}
+
+TEST(ChaosJson, RejectsNegativeFactor) {
+  // A delay window of -3 used to parse and install, and the run threw
+  // "schedule_at: time in the past" when it opened.
+  for (const std::string kind : {"delay", "delay_inflate"}) {
+    expect_bad_magnitude(kind, "-3");
+    expect_bad_magnitude(kind, "-1e-9");
+    expect_magnitude(kind, "0", 0.0);
+    expect_magnitude(kind, "4", 4.0);
+    expect_magnitude(kind, "2.5e0", 2.5);
+  }
+  // Checked once the action is whole: the kind may follow the magnitude.
+  const std::string json =
+      R"({"actions":[{"magnitude":-3,"kind":"delay","at_ns":1}]})";
+  std::string error;
+  EXPECT_FALSE(schedule_from_json(json, &error));
+  EXPECT_EQ(error, "magnitude: expected a factor >= 0 for delay, got -3 at "
+                   "offset " + std::to_string(json.find("-3")));
+}
+
+TEST(ChaosJson, RejectsProbabilityOutsideTheUnitInterval) {
+  for (const std::string kind :
+       {"loss", "duplicate", "falsify", "selective_drop", "flip_flop"}) {
+    expect_bad_magnitude(kind, "-0.1");
+    expect_bad_magnitude(kind, "1.5");
+    expect_bad_magnitude(kind, "1.0000000000000002");
+    expect_magnitude(kind, "0", 0.0);
+    expect_magnitude(kind, "1", 1.0);
+    expect_magnitude(kind, "2.5e-1", 0.25);
+  }
+}
+
 TEST(ChaosJson, ActionKindNamesRoundTrip) {
   for (const ActionKind kind : kAllActionKinds) {
     const auto back = action_kind_from(to_string(kind));
@@ -507,6 +596,38 @@ TEST_F(InstallFixture, HealReassertsActiveIsolates) {
                                              "heal", "isolate 3"}));
   sim.run_until(seconds(10));
   EXPECT_EQ(calls.back(), "unisolate 3");
+}
+
+TEST_F(InstallFixture, WindowTableGrowsWithTheScheduleNotNodeCount) {
+  // node_count 2^64 - 1 parses. The window table used to hold one list per
+  // kind and node, so installing this threw std::length_error; it now holds
+  // one per knob a window names, and the run makes the node_count-5 calls.
+  auto huge = schedule_from_json(
+      R"({"seed":1,"node_count":18446744073709551615,"horizon_ns":5000000000,)"
+      R"("actions":[{"kind":"crash","at_ns":1000000000,)"
+      R"("duration_ns":1000000000,"targets":[3],"magnitude":0}]})");
+  ASSERT_TRUE(huge);
+  huge->actions.push_back(ChaosAction{ActionKind::kPartition, millis(1500),
+                                      millis(1500), {0, 1}, 0.0});
+  huge->actions.push_back(ChaosAction{ActionKind::kIsolate, millis(2500),
+                                      millis(1500), {4}, 0.0});
+  ChaosSchedule small = *huge;
+  small.node_count = 5;
+  const auto hook_calls = [this](const ChaosSchedule& s) {
+    Simulation run_sim{7};
+    TraceLog run_trace;
+    FaultInjector run_injector{run_sim, run_trace};
+    calls.clear();
+    EXPECT_EQ(install_schedule(s, run_injector, recording_hooks()), 3u);
+    run_injector.arm();
+    run_sim.run_until(seconds(5));
+    return calls;
+  };
+  const std::vector<std::string> expected = {
+      "crash 3", "partition 0 1", "restart 3", "isolate 4",
+      "heal",    "isolate 4",     "unisolate 4"};
+  EXPECT_EQ(hook_calls(small), expected);
+  EXPECT_EQ(hook_calls(*huge), expected);
 }
 
 TEST_F(InstallFixture, HealPrecedesRestartAtSameInstant) {

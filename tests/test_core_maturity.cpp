@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cinttypes>
+#include <cstdio>
+
+#include "sim/chaos.hpp"
+
 namespace riot::core {
 namespace {
 
@@ -227,6 +233,80 @@ TEST(Maturity, DeterministicGivenSeed) {
         .resilience_index;
   };
   EXPECT_DOUBLE_EQ(once(99), once(99));
+}
+
+// --- The maturity grid's outcome, pinned -----------------------------------------
+
+// bench_table_maturity's run at one level (seed 42, its four disruptions,
+// 5 sim-min), as `name=hex` fields: the trace hash, the fabric totals, the
+// executed events, the table's integer columns and the bit patterns of
+// resilience, availability and MTTR.
+std::string table_outcome(MaturityLevel level) {
+  auto run = make_run(level);
+  auto& scenario = *run.scenario;
+  scenario.schedule_cloud_outage(sim::seconds(60), sim::seconds(45));
+  scenario.schedule_processing_crash(0, sim::seconds(150));
+  scenario.schedule_wan_partition(sim::seconds(210), sim::seconds(30));
+  scenario.schedule_sensor_churn(sim::seconds(10), sim::minutes(5),
+                                 sim::seconds(30), sim::seconds(10));
+  run.system->run_for(sim::minutes(5));
+  const auto report = scenario.report(sim::seconds(10), sim::minutes(5));
+  const auto& metrics = run.system->metrics();
+  const std::pair<const char*, std::uint64_t> fields[] = {
+      {"trace", sim::chaos::trace_hash(run.system->trace())},
+      {"sent", metrics.counter_value("riot_net_sent_total")},
+      {"delivered", metrics.counter_value("riot_net_delivered_total")},
+      {"bytes", metrics.counter_value("riot_net_bytes_total")},
+      {"events", run.system->simulation().executed_events()},
+      {"episodes", report.violation_episodes},
+      {"auto", scenario.autonomous_actions()},
+      {"manual", scenario.manual_repairs()},
+      {"leaks", scenario.privacy_leaks()},
+      {"blocked", scenario.privacy_blocked()},
+      {"archived", scenario.archived_items()},
+      {"monitored", scenario.monitored_requirements()},
+      {"resilience", std::bit_cast<std::uint64_t>(report.resilience_index)},
+      {"avail", std::bit_cast<std::uint64_t>(report.availability)},
+      {"mttr", static_cast<std::uint64_t>(report.mean_time_to_repair.count())},
+  };
+  std::string out;
+  for (const auto& [name, value] : fields) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%s%s=%" PRIx64, out.empty() ? "" : " ",
+                  name, value);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(Maturity, TableRunOutcomeIsPinned) {
+  // Recorded before the four levels were rewritten onto shared wiring,
+  // which may not move any of them.
+  const std::pair<MaturityLevel, const char*> pinned[] = {
+      {MaturityLevel::kSilo,
+       "trace=70760b2a1fee86c4 sent=28bd delivered=240f bytes=f6004 "
+       "events=443f episodes=1 auto=0 manual=1 leaks=0 blocked=0 "
+       "archived=0 monitored=0 resilience=3feabdb7c3abdbcd "
+       "avail=3fe2be1214ba1a05 mttr=1bff756280"},
+      {MaturityLevel::kCloud,
+       "trace=4fccdf5dcc2bdd72 sent=4bad delivered=44f2 bytes=1e02c4 "
+       "events=6a4b episodes=1 auto=7b manual=0 leaks=10ec blocked=0 "
+       "archived=10ea monitored=0 resilience=3fe49569171072e0 avail=0 "
+       "mttr=438558d400"},
+      {MaturityLevel::kEdge,
+       "trace=150d94fb8f0680b1 sent=45b5 delivered=44b4 bytes=1ad0a3 "
+       "events=6b5b episodes=1 auto=81 manual=0 leaks=0 blocked=0 "
+       "archived=0 monitored=2 resilience=3fefae268b175431 "
+       "avail=3fef17270746c7c6 mttr=1ebbd0280"},
+      {MaturityLevel::kResilient,
+       "trace=605489c93bb52392 sent=9658 delivered=922a bytes=3f1489 "
+       "events=c018 episodes=1 auto=4 manual=0 leaks=0 blocked=ae0 "
+       "archived=893 monitored=4 resilience=3fefdcb8566f92a0 "
+       "avail=3fef880c5914f28d mttr=fd51da80"},
+  };
+  for (const auto& [level, expected] : pinned) {
+    EXPECT_EQ(table_outcome(level), expected) << to_string(level);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -132,37 +133,50 @@ TEST(JsonWriter, EscapesAndCommas) {
             "\"list\":[1,2.5,true,null],\"nan\":null}");
 }
 
+// Busy-waits `ns` nanoseconds of wall time: a handler with a known floor.
+void spin_for(std::int64_t ns) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
 TEST(SimProfiler, CountsEventsAndLatencyPerComponent) {
   sim::Simulation sim(1);
-  MetricsRegistry registry;
-  SimProfiler profiler(sim, registry);
+  SimProfiler profiler(sim);
   profiler.install();
   const auto swim = sim.component_id("swim");
   int fired = 0;
   for (int i = 0; i < 10; ++i) {
-    sim.schedule_at(sim::millis(i), [&fired] { ++fired; }, swim);
+    sim.schedule_at(sim::millis(i), [&fired] {
+      ++fired;
+      spin_for(2'000);
+    }, swim);
   }
   sim.schedule_at(sim::millis(50), [&fired] { ++fired; });  // anonymous
   sim.run_to_completion();
   EXPECT_EQ(fired, 11);
+
+  // Uninstalled: recording stops, what was recorded stays.
+  profiler.uninstall();
+  EXPECT_EQ(sim.profiler(), nullptr);
+  sim.schedule_at(sim.now() + sim::millis(1), [&fired] { ++fired; }, swim);
+  sim.run_to_completion();
+  EXPECT_EQ(fired, 12);
+  EXPECT_EQ(profiler.total_events(), 11u);
+
+  MetricsRegistry registry;
+  profiler.export_metrics(registry);
   EXPECT_EQ(registry.counter_value("riot_sim_events_total",
                                    {{"component", "swim"}}),
             10u);
   EXPECT_EQ(registry.counter_value("riot_sim_events_total",
                                    {{"component", "sim"}}),
             1u);
-  const sim::Histogram* wall = registry.find_histogram(
-      "riot_sim_handler_wall_us", {{"component", "swim"}});
-  ASSERT_NE(wall, nullptr);
-  EXPECT_EQ(wall->count(), 10u);
-
-  // Uninstalled: recording stops.
-  profiler.uninstall();
-  sim.schedule_at(sim.now() + sim::millis(1), [&fired] { ++fired; }, swim);
-  sim.run_to_completion();
-  EXPECT_EQ(registry.counter_value("riot_sim_events_total",
+  // Whole nanoseconds: ten 2 µs handlers sum to at least 20 µs.
+  EXPECT_GE(registry.counter_value("riot_sim_handler_wall_ns_total",
                                    {{"component", "swim"}}),
-            10u);
+            20'000u);
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
-#include "obs/shard_profiler.hpp"
+// obs::SimProfiler over a ShardedSimulation: one collector per shard,
+// merged by component name after the run.
+#include "obs/profiler.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,7 +20,7 @@ TEST(ShardedProfiler, AggregatesEventsByComponentAcrossShards) {
   const auto hb1 = kernel.shard(1).component_id("heartbeat");
   const auto gossip1 = kernel.shard(1).component_id("gossip");
 
-  ShardedProfiler profiler(kernel);
+  SimProfiler profiler(kernel);
   profiler.install();
   int ticks0 = 0, ticks1 = 0;  // one per shard: handlers run concurrently
   kernel.shard(0).schedule_every(sim::millis(1), [&ticks0] { ++ticks0; }, hb0);
@@ -42,11 +44,12 @@ TEST(ShardedProfiler, AggregatesEventsByComponentAcrossShards) {
 
 TEST(ShardedProfiler, UninstallDetachesCollectors) {
   sim::ShardedSimulation kernel(2, 3);
-  ShardedProfiler profiler(kernel);
+  SimProfiler profiler(kernel);
   profiler.install();
   EXPECT_NE(kernel.shard(0).profiler(), nullptr);
   profiler.uninstall();
   EXPECT_EQ(kernel.shard(0).profiler(), nullptr);
+  EXPECT_EQ(kernel.shard(1).profiler(), nullptr);
   kernel.shard(0).schedule_at(sim::millis(1), [] {});
   kernel.run_until(sim::millis(2));  // no dangling profiler callback
   EXPECT_EQ(profiler.total_events(), 0u);
